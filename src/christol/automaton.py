@@ -16,7 +16,10 @@ that as a cross-check of the whole pipeline.
 Least-significant-first digit order makes trailing zeros of the input
 harmless by construction: delta(s, 0) fixes tau, so "6", "06" and "0006"
 (as digit strings 011, 0110, ...) agree.  to_digits_lsd() never emits
-the useless high zeros in the first place.
+the useless high zeros in the first place.  It converts an index of any
+length in subquadratic time (divide and conquer on Python ints) without
+touching the interpreter's int(str) limit, so a query costs a few
+milliseconds even for indices of thousands of digits.
 """
 
 import json
@@ -202,32 +205,63 @@ def minimize(a: Dfao) -> Dfao:
     return Dfao(p=a.p, start=0, delta=tuple(delta), tau=tuple(tau))
 
 
+# Leaf chunks of the decimal parse stay below 640 digits, the lowest
+# int(str) limit an interpreter can be set to, so no limit is ever hit.
+_PARSE_LEAF = 600
+# Below p^(2^_SPLIT_LEAF) the split falls back to plain divmod(v, p).
+_SPLIT_LEAF = 5
+
+
+def _parse_decimal(s: str) -> int:
+    """int(s) for a validated ASCII digit string of any length, by
+    halving the string and combining hi * 10**k + lo."""
+    if len(s) <= _PARSE_LEAF:
+        return int(s)
+    k = len(s) // 2
+    return _parse_decimal(s[:-k]) * 10**k + _parse_decimal(s[-k:])
+
+
+def _split(v: int, pows: list, level: int, width: int, out: list) -> None:
+    """Append the base-p digits of v < p^(2^(level+1)) to out, least
+    significant first, where pows[i] = p^(2^i).  A nonzero width pads
+    the digits with high zeros to exactly that many."""
+    if level < _SPLIT_LEAF:
+        start = len(out)
+        p = pows[0]
+        while v:
+            v, d = divmod(v, p)
+            out.append(d)
+        if width:
+            out.extend([0] * (width - (len(out) - start)))
+        return
+    hi, lo = divmod(v, pows[level])
+    if hi or width:
+        _split(lo, pows, level - 1, 1 << level, out)
+        _split(hi, pows, level - 1, width >> 1, out)
+    else:
+        _split(lo, pows, level - 1, 0, out)
+
+
 def to_digits_lsd(n: str, p: int) -> list:
     """Base-p digits of a decimal string, least significant first.
 
-    Repeated short division on the digit string, so the input length is
-    unbounded (no conversion through a fixed-width integer, and no
-    dependence on int(str) limits).  "0" gives [], matching query(): no
-    digits to read means the start state.  No trailing (high-order)
-    zeros are produced.
+    Subquadratic divide and conquer on Python ints: the string is parsed
+    in halves of at most 600 digits each, and the value is split by
+    recursive divmod by p^(2^k).  Input length is unbounded, and the
+    interpreter's int(str) limit is never read or changed.  "0" gives [],
+    matching query(): no digits to read means the start state.  No
+    trailing (high-order) zeros are produced.
     """
     ensure_prime(p)
-    if not isinstance(n, str) or not n or not all(c in "0123456789" for c in n):
+    # validate before int(), which also takes " 7", "+7", "1_000" and "١٢"
+    if not isinstance(n, str) or not (n.isascii() and n.isdigit()):
         raise MalformedNumber(f"expected a decimal natural number, got {n!r}")
-    current = [ord(c) - 48 for c in n]
-    first = next((i for i, d in enumerate(current) if d), len(current))
-    current = current[first:]
+    v = _parse_decimal(n)
+    pows = [p]
+    while (sq := pows[-1] * pows[-1]) <= v:
+        pows.append(sq)
     digits = []
-    while current:
-        rem = 0
-        quotient = []
-        for d in current:
-            acc = rem * 10 + d
-            quotient.append(acc // p)
-            rem = acc % p
-        digits.append(rem)
-        first = next((i for i, d in enumerate(quotient) if d), len(quotient))
-        current = quotient[first:]
+    _split(v, pows, len(pows) - 1, 0, digits)
     return digits
 
 

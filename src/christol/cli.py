@@ -105,7 +105,7 @@ def _cmd_automaton(cfg: CliConfig) -> int:
 
 
 def _cmd_query(cfg: CliConfig) -> int:
-    if not cfg.index or not all(c in "0123456789" for c in cfg.index):
+    if not (cfg.index.isascii() and cfg.index.isdigit()):
         raise _UsageError(f"--n must be a decimal natural number, got {cfg.index!r}")
     with open(cfg.automaton_path) as fh:
         machine = dfao_from_json(fh.read())

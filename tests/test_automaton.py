@@ -21,6 +21,7 @@ from christol import (
     to_digits_lsd,
 )
 from christol.examples import all_ones_spec, central_binomial_spec, shipped_specs, thue_morse_spec
+from christol.finite_field import ensure_prime
 from support import lucas_central_binomial_mod3, parity, random_decimal
 
 TM_JSON = (
@@ -133,8 +134,67 @@ def test_to_digits_matches_int_arithmetic():
             assert got == want
 
 
+def short_division_lsd(n: str, p: int) -> list:
+    """Reference for to_digits_lsd: repeated short division on the
+    decimal digit list, quadratic but obviously correct."""
+    ensure_prime(p)
+    if not isinstance(n, str) or not n or not all(c in "0123456789" for c in n):
+        raise MalformedNumber(f"expected a decimal natural number, got {n!r}")
+    current = [ord(c) - 48 for c in n]
+    first = next((i for i, d in enumerate(current) if d), len(current))
+    current = current[first:]
+    digits = []
+    while current:
+        rem = 0
+        quotient = []
+        for d in current:
+            acc = rem * 10 + d
+            quotient.append(acc // p)
+            rem = acc % p
+        digits.append(rem)
+        first = next((i for i, d in enumerate(quotient) if d), len(quotient))
+        current = quotient[first:]
+    return digits
+
+
+def test_to_digits_matches_short_division_on_random_lengths():
+    # one length per decade, the last one (up to 10^4 digits) only at
+    # p = 13, where the quadratic reference is cheapest
+    rng = random.Random(4417)
+    for p in (2, 3, 5, 7, 13):
+        for decade in range(4 if p == 13 else 3):
+            length = rng.randrange(10**decade, 10 ** (decade + 1))
+            n = "0" * rng.choice((0, 1, 37)) + random_decimal(rng, length)
+            assert to_digits_lsd(n, p) == short_division_lsd(n, p), (p, len(n))
+
+
+def test_to_digits_matches_short_division_at_chunk_boundaries():
+    # 600 is the parse leaf size, 640 the lowest int(str) limit an
+    # interpreter accepts, 4300 the default limit
+    rng = random.Random(5003)
+    for length in (599, 600, 601, 639, 640, 641):
+        for p in (2, 13):
+            n = random_decimal(rng, length)
+            assert to_digits_lsd(n, p) == short_division_lsd(n, p), (p, length)
+    for length in (4299, 4300, 4301):
+        n = random_decimal(rng, length)
+        assert to_digits_lsd(n, 13) == short_division_lsd(n, 13), length
+
+
+def test_to_digits_matches_short_division_at_split_powers():
+    # q = p^(2^k) is a split divisor: q - 1, q and q + 1 put all-(p-1),
+    # all-zero and mostly-zero low halves under a nonzero high half,
+    # where missing padding would show
+    for p in (2, 3, 5, 7, 13):
+        for k in range(11):
+            q = p ** (2**k)
+            for v in (q - 1, q, q + 1):
+                n = str(v)
+                assert to_digits_lsd(n, p) == short_division_lsd(n, p), (p, k, v - q)
+
+
 def test_to_digits_rejects_malformed():
-    for bad in ("", "-5", "12a", " 7", "7 ", "١٢", "1.5", "0x10"):
+    for bad in ("", "-5", "12a", " 7", "7 ", "١٢", "1.5", "0x10", "+7", "1_000", "²"):
         with pytest.raises(MalformedNumber):
             to_digits_lsd(bad, 2)
     with pytest.raises(MalformedNumber):

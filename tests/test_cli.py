@@ -1,4 +1,7 @@
 import json
+import random
+import sys
+import time
 
 import pytest
 
@@ -139,6 +142,46 @@ def test_query_huge_index(capsys, tmp_path):
     assert out == f"{parity(int(n))}\n"
 
 
+def decimal_by_chunks(v: int) -> str:
+    """str(v) built from 500-digit chunks, so it works under any
+    int(str) limit and shares no code with the library."""
+    chunks = []
+    while v:
+        v, r = divmod(v, 10**500)
+        chunks.append(f"{r:0500d}")
+    return "".join(reversed(chunks)).lstrip("0") or "0"
+
+
+def query_thue_morse_at_16000_digits(capsys, tmp_path):
+    out_path = tmp_path / "tm.json"
+    run(capsys, "automaton", *TM_ARGS, "--out", str(out_path))
+    v = random.Random(1600).randrange(10**15999, 10**16000)
+    n = decimal_by_chunks(v)
+    assert len(n) == 16000
+    started = time.perf_counter()
+    code, out, err = run(capsys, "query", "--automaton", str(out_path), "--n", n)
+    elapsed = time.perf_counter() - started
+    assert (code, out, err) == (0, f"{parity(v)}\n", "")
+    # short division took tens of seconds at this length
+    assert elapsed < 5.0
+
+
+def test_query_index_beyond_default_int_limit(capsys, tmp_path):
+    query_thue_morse_at_16000_digits(capsys, tmp_path)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no int(str) limit"
+)
+def test_query_does_not_depend_on_int_limit(capsys, tmp_path):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        query_thue_morse_at_16000_digits(capsys, tmp_path)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def test_query_rejects_negative_index(capsys, tmp_path):
     out_path = tmp_path / "tm.json"
     run(capsys, "automaton", *TM_ARGS, "--out", str(out_path))
@@ -151,7 +194,7 @@ def test_query_rejects_negative_index(capsys, tmp_path):
 def test_query_rejects_junk_index(capsys, tmp_path):
     out_path = tmp_path / "tm.json"
     run(capsys, "automaton", *TM_ARGS, "--out", str(out_path))
-    for bad in ("", "12a", "0x1f"):
+    for bad in ("", "12a", "0x1f", "+7", "1_000", "²"):
         code, _, err = run(capsys, "query", "--automaton", str(out_path), "--n", bad)
         assert code == 2
         assert "usage error:" in err
