@@ -32,7 +32,7 @@ from .errors import (
     PolynomialSyntaxError,
 )
 from .finite_field import ensure_prime
-from .power_series import TruncatedSeries
+from .power_series import TruncatedSeries, cauchy_product
 
 DEFAULT_DEGREE_CAP = 64
 
@@ -93,29 +93,30 @@ class BivariatePolynomial:
         """Coefficients in x of the y^j term."""
         return tuple(self.coeffs[i][j] for i in range(self.dx + 1))
 
-    def _row_series(self, j: int, n: int) -> TruncatedSeries:
-        row = self.y_row(j)[:n]
-        return TruncatedSeries(self.p, row + (0,) * (n - len(row)))
-
-    def evaluate(self, f: TruncatedSeries) -> TruncatedSeries:
-        """Q(x, f), truncated at f's precision (Horner in y)."""
+    def _horner(self, rows, f: TruncatedSeries) -> TruncatedSeries:
+        """sum_j rows[j] * f**j, truncated at f's precision; rows[j] holds
+        the x-coefficients of y^j.  Horner in y: each step is one series
+        product plus the at most dx+1 coefficients of the next row."""
         if f.p != self.p:
             raise ModulusMismatch(f"mixed moduli {self.p} and {f.p}")
-        n = f.precision
-        acc = TruncatedSeries.zero(self.p, n)
-        for j in range(self.dy, -1, -1):
-            acc = acc * f + self._row_series(j, n)
-        return acc
+        p, n = self.p, f.precision
+        acc = list(rows[-1][:n])
+        for row in reversed(rows[:-1]):
+            acc = list(cauchy_product(acc, f.coeffs, p, n))
+            for i, c in enumerate(row[:n]):
+                acc[i] = (acc[i] + c) % p
+        acc += [0] * (n - len(acc))
+        return TruncatedSeries._of(p, tuple(acc))
+
+    def evaluate(self, f: TruncatedSeries) -> TruncatedSeries:
+        """Q(x, f), truncated at f's precision."""
+        return self._horner([self.y_row(j) for j in range(self.dy + 1)], f)
 
     def evaluate_dy(self, f: TruncatedSeries) -> TruncatedSeries:
         """(dQ/dy)(x, f), truncated at f's precision."""
-        if f.p != self.p:
-            raise ModulusMismatch(f"mixed moduli {self.p} and {f.p}")
-        n = f.precision
-        acc = TruncatedSeries.zero(self.p, n)
-        for j in range(self.dy, 0, -1):
-            acc = acc * f + self._row_series(j, n).scale(j)
-        return acc
+        p = self.p
+        rows = [tuple(j * c % p for c in self.y_row(j)) for j in range(1, self.dy + 1)]
+        return self._horner(rows, f)
 
     def dy_at_origin(self, a0: int) -> int:
         """(dQ/dy)(0, a0) as a residue; nonzero means Newton applies."""
@@ -439,43 +440,37 @@ def _expand_baseline(q: BivariatePolynomial, seed, n: int) -> TruncatedSeries:
     return TruncatedSeries(p, coeffs)
 
 
-def _series_inverse(f: TruncatedSeries, n: int) -> TruncatedSeries:
-    """Multiplicative inverse mod x^n of a unit series, by Newton doubling."""
-    p = f.p
-    g = TruncatedSeries(p, (pow(f.coeffs[0], p - 2, p),))
-    t = 1
-    while t < n:
-        t = min(2 * t, n)
-        fg = f.truncate(t) * g.pad_to(t)
-        # g <- g * (2 - f*g)
-        corr = [(-v) % p for v in fg.coeffs]
-        corr[0] = (corr[0] + 2) % p
-        g = g.pad_to(t) * TruncatedSeries(p, corr)
-    return g
-
-
 def _expand_newton(q: BivariatePolynomial, seed, n: int) -> TruncatedSeries:
     """Newton iteration f <- f - Q(x,f)/Qy(x,f) with precision doubling.
 
     Requires Qy(0, a0) != 0, which keeps the divisor a unit throughout.
+    The inverse g of Qy(x, f) is carried along at half precision: a
+    step from t to T correct coefficients needs it only mod x^(T-t),
+    because Q(x, f) vanishes mod x^t, and one inverse-Newton step
+    g <- g*(2 - Qy*g) then doubles it for the next round.
     The seed beyond a0 is not consumed, only checked: the branch through
     a0 is already unique, so a disagreeing seed means no branch at all.
     """
     p = q.p
     a0 = _start_coefficient(q, seed)
-    f = TruncatedSeries(p, (a0,))
+    f = (a0,)
+    g = (pow(q.dy_at_origin(a0), p - 2, p),)  # 1/Qy(x, f) mod x^(T-t)
     t = 1
     while t < n:
-        t = min(2 * t, n)
-        fpad = f.pad_to(t)
-        value = q.evaluate(fpad)
-        slope = q.evaluate_dy(fpad)
-        f = fpad - value * _series_inverse(slope, t)
-    f = f.truncate(n)
+        T = min(2 * t, n)
+        value = q.evaluate(TruncatedSeries._of(p, f + (0,) * (T - t))).coeffs[t:]
+        f += tuple([(-c) % p for c in cauchy_product(value, g, p, T - t)])
+        if T < n:
+            # Qy*g = 1 + x^h*e mod x^(2h), so g*(2 - Qy*g) = g - x^h*g*e
+            h, need = len(g), min(2 * T, n) - T
+            slope = q.evaluate_dy(TruncatedSeries._of(p, f[:need])).coeffs
+            e = cauchy_product(slope, g, p, need)[h:]
+            g += tuple([(-c) % p for c in cauchy_product(g, e, p, need - h)])
+        t = T
     for k in range(1, min(len(seed), n)):
-        if f.coeffs[k] != seed[k]:
+        if f[k] != seed[k]:
             raise NoBranch(k)
-    return f
+    return TruncatedSeries._of(p, f[:n])
 
 
 def expand_branch(spec: BranchSpec, n: int, method: str = "auto") -> TruncatedSeries:

@@ -8,7 +8,6 @@ and is byte-identical for identical argv.
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .algebraic_series import BranchSpec, expand_branch, parse_bivariate
 from .algebraize import automatic_to_series, guess_polynomial
@@ -34,29 +33,6 @@ from .power_series import parse_series
 from .weeding import weed
 
 
-@dataclass
-class CliConfig:
-    """Everything a subcommand run needs, assembled from argv."""
-
-    command: str
-    p: int = 0
-    poly: str = ""
-    seed: str = ""
-    series: str = ""
-    terms: int = 0
-    degree: int = 0
-    n_eq: int = 64
-    max_states: int = 4096
-    do_minimize: bool = False
-    out_path: str = ""
-    dot_path: str = ""
-    automaton_path: str = ""
-    index: str = ""
-    series_file: str = ""
-    dx: int = 0
-    dy: int = 0
-
-
 class _UsageError(Exception):
     pass
 
@@ -73,50 +49,50 @@ def _parse_seed(text: str, p: int) -> tuple:
     return tuple(values)
 
 
-def _branch_spec(cfg: CliConfig) -> BranchSpec:
-    q = parse_bivariate(cfg.poly, cfg.p)
-    return BranchSpec(q, seed=_parse_seed(cfg.seed, cfg.p))
+def _branch_spec(args: argparse.Namespace) -> BranchSpec:
+    q = parse_bivariate(args.poly, args.p)
+    return BranchSpec(q, seed=_parse_seed(args.seed, args.p))
 
 
-def _cmd_expand(cfg: CliConfig) -> int:
-    series = expand_branch(_branch_spec(cfg), cfg.terms)
+def _cmd_expand(args: argparse.Namespace) -> int:
+    series = expand_branch(_branch_spec(args), args.terms)
     print(",".join(str(c) for c in series.coeffs))
     return 0
 
 
-def _cmd_weed(cfg: CliConfig) -> int:
-    f = parse_series(cfg.series, cfg.p)
-    print(",".join(str(c) for c in weed(f, cfg.degree).coeffs))
+def _cmd_weed(args: argparse.Namespace) -> int:
+    f = parse_series(args.series, args.p)
+    print(",".join(str(c) for c in weed(f, args.degree).coeffs))
     return 0
 
 
-def _cmd_automaton(cfg: CliConfig) -> int:
-    spec = _branch_spec(cfg)
-    machine = build_dfao(spec, ClosureConfig(n_eq=cfg.n_eq, max_states=cfg.max_states))
-    if cfg.do_minimize:
+def _cmd_automaton(args: argparse.Namespace) -> int:
+    spec = _branch_spec(args)
+    machine = build_dfao(spec, ClosureConfig(n_eq=args.n_eq, max_states=args.max_states))
+    if args.minimize:
         machine = minimize(machine)
-    with open(cfg.out_path, "w") as fh:
+    with open(args.out, "w") as fh:
         fh.write(dfao_to_json(machine) + "\n")
-    if cfg.dot_path:
-        with open(cfg.dot_path, "w") as fh:
+    if args.dot:
+        with open(args.dot, "w") as fh:
             fh.write(export_dot(machine))
     print(machine.n_states)
     return 0
 
 
-def _cmd_query(cfg: CliConfig) -> int:
-    if not (cfg.index.isascii() and cfg.index.isdigit()):
-        raise _UsageError(f"--n must be a decimal natural number, got {cfg.index!r}")
-    with open(cfg.automaton_path) as fh:
+def _cmd_query(args: argparse.Namespace) -> int:
+    if not (args.n.isascii() and args.n.isdigit()):
+        raise _UsageError(f"--n must be a decimal natural number, got {args.n!r}")
+    with open(args.automaton) as fh:
         machine = dfao_from_json(fh.read())
-    print(query(machine, cfg.index).value)
+    print(query(machine, args.n).value)
     return 0
 
 
-def _cmd_algebraize(cfg: CliConfig) -> int:
-    with open(cfg.series_file) as fh:
-        f = parse_series(fh.read().strip(), cfg.p)
-    print(guess_polynomial(f, cfg.dx, cfg.dy).to_text())
+def _cmd_algebraize(args: argparse.Namespace) -> int:
+    with open(args.series_file) as fh:
+        f = parse_series(fh.read().strip(), args.p)
+    print(guess_polynomial(f, args.dx, args.dy).to_text())
     return 0
 
 
@@ -151,7 +127,7 @@ def _selftest_suite(name, spec, oracle, limit, expect_states, to_base):
     return ok, lines
 
 
-def _cmd_selftest(_cfg: CliConfig) -> int:
+def _cmd_selftest(_args: argparse.Namespace) -> int:
     def base2(n):
         return [int(b) for b in bin(n)[2:]]
 
@@ -232,25 +208,6 @@ def cli_main(argv) -> int:
     except SystemExit as exc:
         # argparse already printed its diagnostic
         return 0 if exc.code == 0 else 2
-    cfg = CliConfig(
-        command=args.command,
-        p=getattr(args, "p", 0),
-        poly=getattr(args, "poly", ""),
-        seed=getattr(args, "seed", ""),
-        series=getattr(args, "series", ""),
-        terms=getattr(args, "terms", 0),
-        degree=getattr(args, "degree", 0),
-        n_eq=getattr(args, "n_eq", 64),
-        max_states=getattr(args, "max_states", 4096),
-        do_minimize=getattr(args, "minimize", False),
-        out_path=getattr(args, "out", ""),
-        dot_path=getattr(args, "dot", ""),
-        automaton_path=getattr(args, "automaton", ""),
-        index=getattr(args, "n", ""),
-        series_file=getattr(args, "series_file", ""),
-        dx=getattr(args, "dx", 0),
-        dy=getattr(args, "dy", 0),
-    )
     handlers = {
         "expand": _cmd_expand,
         "weed": _cmd_weed,
@@ -260,7 +217,7 @@ def cli_main(argv) -> int:
         "selftest": _cmd_selftest,
     }
     try:
-        return handlers[cfg.command](cfg)
+        return handlers[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -10,26 +10,54 @@ use truncate() to bring operands to a common precision first.
 Instances are immutable and safe to share.
 """
 
-import numpy as np
+import sys
+from array import array
 
 from .errors import ModulusMismatch, NotAPthPower
 from .finite_field import FpElement, ensure_prime
+
+# (slot width in bytes, array/memoryview format of that width), narrowest
+# first.  The formats are native, so slots are packed and read in the
+# machine's byte order.
+_SLOTS = tuple(
+    (width, next(fmt for fmt in "BHILQ" if array(fmt).itemsize == width))
+    for width in (1, 2, 4, 8)
+)
 
 
 def cauchy_product(a, b, p: int, n: int) -> tuple:
     """First n coefficients of the product of coefficient vectors a and b.
 
-    Residues are < 2**16 and lengths stay far below 2**20, so every
-    partial sum of the int64 convolution stays well under 2**63.
+    a and b hold residues in [0, p); the result always has n entries.
+    Kronecker substitution: each vector is packed into one integer, one
+    fixed-width slot per coefficient, the two integers are multiplied
+    once, and the slots of the product are read back and reduced mod p.
+    A slot of the product holds a sum of at most min(len a, len b)
+    products of two residues, so it is given the narrowest width of 1,
+    2, 4 or 8 bytes that holds min(len a, len b) * (p-1)**2.  Eight
+    bytes always suffice: p <= 2**16 makes (p-1)**2 < 2**32, and no
+    vector reaches 2**32 entries.
     """
     if n <= 0:
         return ()
+    a = a[:n]
+    b = b[:n]
     if not a or not b:
         return (0,) * n
-    fa = np.asarray(a[:n], dtype=np.int64)
-    fb = np.asarray(b[:n], dtype=np.int64)
-    conv = np.convolve(fa, fb)[:n] % p
-    return tuple(int(v) for v in conv)
+    bound = min(len(a), len(b)) * (p - 1) ** 2
+    width, fmt = next(slot for slot in _SLOTS if bound < 1 << 8 * slot[0])
+    order = sys.byteorder
+    product = int.from_bytes(array(fmt, a).tobytes(), order) * int.from_bytes(
+        array(fmt, b).tobytes(), order
+    )
+    # big-endian machines put the lowest coefficient last, so the byte
+    # string spans the whole product before slots are taken from it
+    size = len(a) + len(b) - 1
+    slots = memoryview(product.to_bytes(size * width, order)).cast(fmt)
+    out = [v % p for v in slots[:n]]
+    if size < n:
+        out += [0] * (n - size)
+    return tuple(out)
 
 
 class TruncatedSeries:
@@ -41,6 +69,15 @@ class TruncatedSeries:
         ensure_prime(p)
         self.p = p
         self.coeffs = tuple(int(c) % p for c in coeffs)
+
+    @classmethod
+    def _of(cls, p: int, coeffs: tuple) -> "TruncatedSeries":
+        """Wrap a tuple of residues in [0, p) without validating p or
+        reducing; for results built from series that were validated."""
+        series = object.__new__(cls)
+        series.p = p
+        series.coeffs = coeffs
+        return series
 
     @classmethod
     def zero(cls, p: int, precision: int) -> "TruncatedSeries":
@@ -75,10 +112,9 @@ class TruncatedSeries:
         """scalar*self + other, at the smaller of the two precisions."""
         self._match(other)
         s = 1 if scalar is None else self._scalar(scalar)
-        n = min(self.precision, other.precision)
-        return TruncatedSeries(
-            self.p,
-            ((s * self.coeffs[j] + other.coeffs[j]) % self.p for j in range(n)),
+        p = self.p
+        return TruncatedSeries._of(
+            p, tuple([(s * a + b) % p for a, b in zip(self.coeffs, other.coeffs)])
         )
 
     def __add__(self, other):
@@ -86,41 +122,44 @@ class TruncatedSeries:
 
     def __sub__(self, other):
         self._match(other)
-        n = min(self.precision, other.precision)
-        return TruncatedSeries(
-            self.p, ((self.coeffs[j] - other.coeffs[j]) % self.p for j in range(n))
+        p = self.p
+        return TruncatedSeries._of(
+            p, tuple([(a - b) % p for a, b in zip(self.coeffs, other.coeffs)])
         )
 
     def __neg__(self):
-        return TruncatedSeries(self.p, ((-c) % self.p for c in self.coeffs))
+        p = self.p
+        return TruncatedSeries._of(p, tuple([(-c) % p for c in self.coeffs]))
 
     def scale(self, c) -> "TruncatedSeries":
         s = self._scalar(c)
-        return TruncatedSeries(self.p, ((s * a) % self.p for a in self.coeffs))
+        p = self.p
+        return TruncatedSeries._of(p, tuple([s * a % p for a in self.coeffs]))
 
     def __mul__(self, other):
         """Cauchy product, truncated at the smaller input precision."""
         self._match(other)
         n = min(self.precision, other.precision)
-        return TruncatedSeries(self.p, cauchy_product(self.coeffs, other.coeffs, self.p, n))
+        return TruncatedSeries._of(self.p, cauchy_product(self.coeffs, other.coeffs, self.p, n))
 
     def shift(self, k: int) -> "TruncatedSeries":
         """x**k * self.  Gains precision: the low k coefficients are exact."""
         if k < 0:
             raise ValueError(f"shift must be nonnegative, got {k}")
-        return TruncatedSeries(self.p, (0,) * k + self.coeffs)
+        return TruncatedSeries._of(self.p, (0,) * k + self.coeffs)
 
     def derivative(self, times: int = 1) -> "TruncatedSeries":
         """times-fold formal derivative; each application costs one
         coefficient of precision."""
         if times < 0:
             raise ValueError(f"derivative order must be nonnegative, got {times}")
+        p = self.p
         coeffs = self.coeffs
         for _ in range(times):
             if not coeffs:
                 break
-            coeffs = tuple((j * c) % self.p for j, c in enumerate(coeffs))[1:]
-        return TruncatedSeries(self.p, coeffs)
+            coeffs = tuple([j * c % p for j, c in enumerate(coeffs)][1:])
+        return TruncatedSeries._of(p, coeffs)
 
     def pth_root(self) -> "TruncatedSeries":
         """Termwise p-th root of a series supported on multiples of p.
@@ -135,7 +174,7 @@ class TruncatedSeries:
                 raise NotAPthPower(
                     f"nonzero coefficient at index {idx}, not a multiple of {self.p}"
                 )
-        return TruncatedSeries(self.p, self.coeffs[:: self.p])
+        return TruncatedSeries._of(self.p, self.coeffs[:: self.p])
 
     def substitute_x_pow_p(self) -> "TruncatedSeries":
         """The series self(x**p).
@@ -143,19 +182,16 @@ class TruncatedSeries:
         Every index below p*N is determined: multiples of p carry the
         original coefficients, everything else is known to be zero.
         """
-        if not self.coeffs:
-            return TruncatedSeries(self.p)
         out = [0] * (self.p * self.precision)
-        for i, c in enumerate(self.coeffs):
-            out[self.p * i] = c
-        return TruncatedSeries(self.p, out)
+        out[:: self.p] = self.coeffs
+        return TruncatedSeries._of(self.p, tuple(out))
 
     # -- reshaping ----------------------------------------------------
 
     def truncate(self, n: int) -> "TruncatedSeries":
         if n < 0 or n > self.precision:
             raise ValueError(f"cannot truncate precision {self.precision} to {n}")
-        return TruncatedSeries(self.p, self.coeffs[:n])
+        return TruncatedSeries._of(self.p, self.coeffs[:n])
 
     def pad_to(self, n: int) -> "TruncatedSeries":
         """Extend with explicit zeros.  Only meaningful when the caller
@@ -163,7 +199,7 @@ class TruncatedSeries:
         claimed precision."""
         if n <= self.precision:
             return self
-        return TruncatedSeries(self.p, self.coeffs + (0,) * (n - self.precision))
+        return TruncatedSeries._of(self.p, self.coeffs + (0,) * (n - self.precision))
 
     # -- plumbing -----------------------------------------------------
 

@@ -31,7 +31,7 @@ def section(f: TruncatedSeries, r: int) -> TruncatedSeries:
     """
     if not 0 <= r < f.p:
         raise ValueError(f"residue {r} outside [0, {f.p})")
-    return TruncatedSeries(f.p, f.coeffs[r :: f.p])
+    return TruncatedSeries._of(f.p, f.coeffs[r :: f.p])
 
 
 def weed(f: TruncatedSeries, k: int) -> TruncatedSeries:

@@ -8,7 +8,7 @@ binomials from math.comb, so a library bug cannot vouch for itself.
 import math
 import random
 
-from christol import TruncatedSeries
+from christol import BivariatePolynomial, BranchSpec, TruncatedSeries
 
 
 def parity(n: int) -> int:
@@ -37,6 +37,29 @@ def lucas_central_binomial_mod3(n: int) -> int:
 def central_binomial_direct(n: int) -> int:
     """C(2n, n) mod 3 the slow, undeniable way."""
     return math.comb(2 * n, n) % 3
+
+
+def central_binomial_lucas(n: int, p: int) -> int:
+    """C(2n, n) mod p by Lucas' theorem: the product over base-p digit
+    positions of C(digit of 2n, digit of n), each from math.comb."""
+    out = 1
+    top, bottom = 2 * n, n
+    while bottom:
+        top, t = divmod(top, p)
+        bottom, b = divmod(bottom, p)
+        out = out * math.comb(t, b) % p
+    return out
+
+
+def random_separable_spec(rng: random.Random, p: int, max_dx: int = 4, max_dy: int = 3) -> BranchSpec:
+    """A random Q with a root a0 of Q(0, y) where dQ/dy(0, a0) != 0, so
+    Newton applies; the spec is seeded with a0."""
+    while True:
+        grid = [[rng.randrange(p) for _ in range(max_dy + 1)] for _ in range(max_dx + 1)]
+        a0 = rng.randrange(p)
+        grid[0][0] = -sum(grid[0][j] * a0**j for j in range(1, max_dy + 1)) % p
+        if sum(j * grid[0][j] * a0 ** (j - 1) for j in range(1, max_dy + 1)) % p:
+            return BranchSpec(BivariatePolynomial(p, grid), seed=(a0,))
 
 
 def random_series(rng: random.Random, p: int, max_len: int = 48, min_len: int = 0) -> TruncatedSeries:

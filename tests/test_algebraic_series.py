@@ -19,7 +19,7 @@ from christol import (
     verify_annihilation,
 )
 from christol.examples import central_binomial_spec, shipped_specs, thue_morse_spec
-from support import lucas_central_binomial_mod3, parity
+from support import lucas_central_binomial_mod3, parity, random_separable_spec
 
 
 # -- parsing ----------------------------------------------------------
@@ -171,6 +171,19 @@ def test_engines_agree_on_shipped_specs():
         b = expand_branch(spec, 512, method="baseline")
         assert a == b
         assert expand_branch(spec, 512, method="auto") == a
+
+
+def test_newton_matches_baseline_on_random_separable_specs():
+    # term counts on both sides of the doublings, where Newton's final
+    # round is cut short and the carried inverse is refined or not
+    rng = random.Random(3)
+    for p in (2, 3, 5, 7):
+        for _ in range(4):
+            spec = random_separable_spec(rng, p)
+            for n in (1, 2, 3, 127, 128, 129, 1000):
+                newton = expand_branch(spec, n, method="newton")
+                assert newton == expand_branch(spec, n, method="baseline"), (spec, n)
+                assert newton.precision == n
 
 
 def test_forced_newton_needs_unit_slope():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from christol import (
+    BranchSpec,
     ClosureConfig,
     Dfao,
     MalformedNumber,
@@ -17,12 +18,13 @@ from christol import (
     export_dot,
     minimize,
     orbit_closure,
+    parse_bivariate,
     query,
     to_digits_lsd,
 )
 from christol.examples import all_ones_spec, central_binomial_spec, shipped_specs, thue_morse_spec
 from christol.finite_field import ensure_prime
-from support import lucas_central_binomial_mod3, parity, random_decimal
+from support import base_digits, central_binomial_lucas, lucas_central_binomial_mod3, parity, random_decimal
 
 TM_JSON = (
     '{"format":"dfao-v1","p":2,"digit_order":"lsd","start":0,'
@@ -344,6 +346,20 @@ def test_dfao_constructor_validation():
         Dfao(p=2, start=0, delta=((0, 0),), tau=(0,), digit_order="msd")
     with pytest.raises(ValueError):
         Dfao(p=6, start=0, delta=((0,) * 6,), tau=(0,))
+
+
+def test_build_dfao_central_binomial_f5():
+    # (1+x)*y^2 + 4 is (1-4x)*y^2 - 1 over F_5, so the root through 1 is
+    # sum C(2n, n) x^n.  At the default n_eq the orbit walk reaches
+    # paths of depth 4, which take 64 * 5**4 root coefficients.
+    spec = BranchSpec(parse_bivariate("(1+1*x)*y^2 + 4", 5), seed=(1,))
+    a = minimize(build_dfao(spec))
+    assert a.n_states == 5
+    for n in range(5**5):
+        state = a.start
+        for d in base_digits(n, 5):
+            state = a.delta[state][d]
+        assert a.tau[state] == central_binomial_lucas(n, 5), n
 
 
 def test_central_binomial_machine_against_oracle():

@@ -20,7 +20,7 @@ from christol import (
 )
 from christol.linalg import rank
 from christol.examples import all_ones_spec, central_binomial_spec, shipped_specs, thue_morse_spec
-from support import base_digits
+from support import base_digits, random_separable_spec
 
 
 def test_parity_closure_is_two_dimensional():
@@ -183,6 +183,24 @@ def test_path_expander_growth():
     t = expander.series((1, 0), 300)
     assert t.precision >= 300
     assert t.truncate(s.precision) == s
+
+
+def test_path_expander_matches_one_expansion_and_sections():
+    # a walk that keeps outgrowing the root, as the orbit search does
+    rng = random.Random(8)
+    for spec in (thue_morse_spec(), central_binomial_spec(), random_separable_spec(rng, 5)):
+        p = spec.p
+        paths = [(), (1,), (1, 0), (1, 0, p - 1), (0, 1, 1, 0)]
+        expander = PathExpander(spec)
+        got = [expander.series(path, 12) for path in paths]
+        root = expand_branch(spec, 12 * p ** max(len(path) for path in paths))
+        for path, s in zip(paths, got):
+            want = root
+            for r in path:
+                want = section(want, r)
+            assert s.precision >= 12
+            n = min(s.precision, want.precision)
+            assert s.truncate(n) == want.truncate(n), (spec, path)
 
 
 def test_representation_shape_invariants():

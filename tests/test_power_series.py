@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import christol
 from christol import (
     FpElement,
     ModulusMismatch,
@@ -9,11 +13,21 @@ from christol import (
     TruncatedSeries,
     parse_series,
 )
+from christol.power_series import cauchy_product
 from support import random_series
 
 
 def S(p, coeffs):
     return TruncatedSeries(p, coeffs)
+
+
+def schoolbook(a, b, p, n):
+    """First n coefficients of a*b by the double loop, zero-padded."""
+    out = [0] * max(n, 0)
+    for i, x in enumerate(a[:n]):
+        for j, y in enumerate(b[: n - i]):
+            out[i + j] += x * y
+    return tuple(c % p for c in out)
 
 
 def test_add_mul_shift_worked_examples():
@@ -108,11 +122,7 @@ def test_mul_matches_schoolbook():
         f = random_series(rng, p, max_len=12)
         g = random_series(rng, p, max_len=12)
         n = min(f.precision, g.precision)
-        expected = [
-            sum(f.coeffs[i] * g.coeffs[k - i] for i in range(k + 1) if k - i < g.precision and i < f.precision) % p
-            for k in range(n)
-        ]
-        assert list((f * g).coeffs) == expected
+        assert (f * g).coeffs == schoolbook(f.coeffs, g.coeffs, p, n)
 
 
 def test_empty_series_degenerate_results():
@@ -163,3 +173,81 @@ def test_parse_series_literal():
     for bad in ("", "1,,2", "1,-2", "a,b", ","):
         with pytest.raises(ValueError):
             parse_series(bad, 2)
+
+
+# -- cauchy_product ---------------------------------------------------
+
+PRIMES = (2, 3, 251, 257, 65521)
+
+
+def test_cauchy_product_degenerate_sizes():
+    for p in PRIMES:
+        assert cauchy_product((1, 2 % p), (1,), p, 0) == ()
+        assert cauchy_product((1, 2 % p), (1,), p, -3) == ()
+        assert cauchy_product((), (1, 1), p, 3) == (0, 0, 0)
+        assert cauchy_product((p - 1,), (p - 1, 5 % p), p, 1) == (1,)
+        assert cauchy_product((), (), p, 1) == (0,)
+
+
+def test_cauchy_product_matches_schoolbook():
+    rng = random.Random(20261018)
+    for p in PRIMES:
+        for _ in range(60):
+            a = tuple(rng.randrange(p) for _ in range(rng.randrange(40)))
+            b = tuple(rng.randrange(p) for _ in range(rng.randrange(40)))
+            # n below, between and beyond the input lengths
+            n = rng.randrange(len(a) + len(b) + 5)
+            got = cauchy_product(a, b, p, n)
+            assert got == schoolbook(a, b, p, n)
+            assert len(got) == n
+
+
+def test_cauchy_product_long_operand():
+    rng = random.Random(5000)
+    p = 65521
+    a = tuple(rng.randrange(p) for _ in range(5000))
+    b = tuple(rng.randrange(p) for _ in range(700))
+    assert cauchy_product(a, b, p, 4999) == schoolbook(a, b, p, 4999)
+    want = schoolbook(a, b, p, 6000)
+    assert cauchy_product(a, b, p, 6000) == want
+    assert cauchy_product(b, a, p, 6000) == want
+
+
+def test_cauchy_product_at_slot_width_switches():
+    # With every residue p-1, the middle coefficient of the product is
+    # exactly min(len a, len b) * (p-1)**2 before reduction: the two
+    # lengths around each 2**8, 2**16 and 2**32 crossing fill a slot to
+    # the brim, then overflow it unless the slot is widened.  Such a
+    # product is known in closed form: (p-1)**2 = 1 mod p, so the k-th
+    # coefficient counts the index pairs summing to k.
+    cases = []
+    for p in PRIMES:
+        for bits in (8, 16, 32):
+            fit = (2**bits - 1) // (p - 1) ** 2
+            if fit <= 70000:
+                cases += [(p, length) for length in (fit, fit + 1) if length > 0]
+    assert {(2, 255), (2, 256), (3, 16383), (3, 16384), (251, 68719), (251, 68720),
+            (257, 65535), (257, 65536), (65521, 1), (65521, 2)} <= set(cases)
+    for p, length in cases:
+        # an unequal partner only where the product is cheap
+        for other in (length, length + 3) if length < 1000 else (length,):
+            a = (p - 1,) * length
+            b = (p - 1,) * other
+            n = length + other - 1
+            want = tuple(min(k + 1, length, other, n - k) % p for k in range(n))
+            assert cauchy_product(a, b, p, n) == want, (p, length, other)
+            if other != length:
+                assert cauchy_product(b, a, p, n) == want, (p, other, length)
+        if length < 300:
+            rng = random.Random(length)
+            a = tuple(rng.randrange(p) for _ in range(length))
+            b = tuple(rng.randrange(p) for _ in range(length + 1))
+            assert cauchy_product(a, b, p, 2 * length) == schoolbook(a, b, p, 2 * length)
+
+
+def test_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(christol.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, christol; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
