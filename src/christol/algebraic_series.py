@@ -473,29 +473,18 @@ def _expand_newton(q: BivariatePolynomial, seed, n: int) -> TruncatedSeries:
     return TruncatedSeries._of(p, f[:n])
 
 
-def expand_branch(spec: BranchSpec, n: int, method: str = "auto") -> TruncatedSeries:
+def expand_branch(spec: BranchSpec, n: int) -> TruncatedSeries:
     """First n coefficients of the series root of spec.q extending spec.seed.
 
-    method selects the engine: "auto" uses Newton when dQ/dy(0, a0) is a
-    unit and candidate testing otherwise; "newton" and "baseline" force
-    one engine (forcing Newton where it does not apply is a ValueError).
-    Both engines produce identical output where both apply.
+    Newton iteration when dQ/dy(0, a0) is a unit, candidate testing
+    otherwise; both engines produce identical output where both apply.
     """
-    if method not in ("auto", "newton", "baseline"):
-        raise ValueError(f"unknown method {method!r}")
     if n < 0:
         raise ValueError(f"term count must be nonnegative, got {n}")
     if n == 0:
         return TruncatedSeries(spec.p)
-    if method == "baseline":
-        return _expand_baseline(spec.q, spec.seed, n)
     a0 = _start_coefficient(spec.q, spec.seed)
-    newton_ok = spec.q.dy_at_origin(a0) != 0
-    if method == "newton":
-        if not newton_ok:
-            raise ValueError("Newton requires dQ/dy(0, a0) to be a unit")
-        return _expand_newton(spec.q, spec.seed, n)
-    if newton_ok:
+    if spec.q.dy_at_origin(a0) != 0:
         return _expand_newton(spec.q, spec.seed, n)
     return _expand_baseline(spec.q, spec.seed, n)
 

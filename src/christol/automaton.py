@@ -5,13 +5,16 @@ the residue tau(final state); for the machines built here that residue
 is the n-th coefficient of an algebraic series.  Two constructions are
 provided and deliberately kept independent of each other:
 
-  * build_dfao() walks the orbit of the series under sections, one state
-    per distinct truncated series;
   * dfao_from_linear() walks the reachable row vectors of a
-    KernelRepresentation.
+    KernelRepresentation; the CLI builds every machine this way, from a
+    closure that has passed recheck();
+  * build_dfao() walks the orbit of the series under sections, one state
+    per distinct truncated series; it is kept only as an independent
+    oracle for the tests, acceptance criterion 5 and the selftest.
 
-Minimizing either must give isomorphic machines; the test suite leans on
-that as a cross-check of the whole pipeline.
+With a basis independent at n_eq, distinct row vectors are distinct
+truncated sections, and both walks are breadth-first with digits
+ascending, so the two machines agree state for state.
 
 Least-significant-first digit order makes trailing zeros of the input
 harmless by construction: delta(s, 0) fixes tau, so "6", "06" and "0006"

@@ -68,7 +68,11 @@ def _cmd_weed(args: argparse.Namespace) -> int:
 
 def _cmd_automaton(args: argparse.Namespace) -> int:
     spec = _branch_spec(args)
-    machine = build_dfao(spec, ClosureConfig(n_eq=args.n_eq, max_states=args.max_states))
+    rep = orbit_closure(spec, ClosureConfig(n_eq=args.n_eq, max_states=args.max_states))
+    if not recheck(rep, spec, 2):
+        raise ChristolError(f"the section closure at n_eq={args.n_eq} fails recheck at "
+                            "doubled precision; raise --n-eq")
+    machine = dfao_from_linear(rep, args.max_states)
     if args.minimize:
         machine = minimize(machine)
     with open(args.out, "w") as fh:
@@ -99,17 +103,16 @@ def _cmd_algebraize(args: argparse.Namespace) -> int:
 def _selftest_suite(name, spec, oracle, limit, expect_states, to_base):
     lines = []
     rep = orbit_closure(spec)
-    direct = minimize(build_dfao(spec))
-    linear = minimize(dfao_from_linear(rep))
-    ok = direct == linear
-    lines.append(f"{name}: minimized flavors agree with {direct.n_states} states: "
+    machine = minimize(dfao_from_linear(rep))
+    ok = machine == minimize(build_dfao(spec))
+    lines.append(f"{name}: minimized flavors agree with {machine.n_states} states: "
                  f"{'ok' if ok else 'FAIL'}")
-    if direct.n_states != expect_states:
+    if machine.n_states != expect_states:
         ok = False
-        lines.append(f"{name}: expected {expect_states} states, got {direct.n_states}: FAIL")
+        lines.append(f"{name}: expected {expect_states} states, got {machine.n_states}: FAIL")
     bad = 0
     for n in range(limit):
-        if query(direct, str(n)).value != oracle(to_base(n)):
+        if query(machine, str(n)).value != oracle(to_base(n)):
             bad += 1
     lines.append(f"{name}: outputs match the oracle for n < {limit}: "
                  f"{'ok' if bad == 0 else f'{bad} FAIL'}")
@@ -120,7 +123,7 @@ def _selftest_suite(name, spec, oracle, limit, expect_states, to_base):
         lines.append(f"{name}: recheck at doubled precision: FAIL")
     else:
         lines.append(f"{name}: recheck at doubled precision: ok")
-    round_trip = dfao_from_json(dfao_to_json(direct)) == direct
+    round_trip = dfao_from_json(dfao_to_json(machine)) == machine
     if not round_trip:
         ok = False
     lines.append(f"{name}: serialization round trip: {'ok' if round_trip else 'FAIL'}")
@@ -184,8 +187,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--minimize", action="store_true")
     sp.add_argument("--out", required=True, help="output path for dfao-v1 JSON")
     sp.add_argument("--dot", default="", help="optional Graphviz output path")
-    sp.add_argument("--n-eq", type=int, default=64, help="truncation comparison precision")
-    sp.add_argument("--max-states", type=int, default=4096)
+    sp.add_argument("--n-eq", type=int, default=64,
+                    help="comparison precision; a closure failing recheck at twice it exits 1")
+    sp.add_argument("--max-states", type=int, default=4096,
+                    help="cap on the basis dimension and on the reachable vectors")
 
     sp = sub.add_parser("query", help="coefficient at index n from a saved automaton")
     sp.add_argument("--automaton", required=True, help="dfao-v1 JSON path")

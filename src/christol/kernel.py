@@ -19,6 +19,7 @@ them can be recomputed from the defining polynomial at any precision.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 from .algebraic_series import BranchSpec, expand_branch
@@ -38,22 +39,17 @@ class ClosureConfig:
 
     n_eq is the truncation precision at which series are compared; below
     8 the comparisons are too blunt to be meaningful, so that is the
-    floor.  max_states caps every state-space construction.  A recheck
-    below factor 2 would re-verify at the precision already used, which
-    certifies nothing.
+    floor.  max_states caps every state-space construction.
     """
 
     n_eq: int = DEFAULT_N_EQ
     max_states: int = DEFAULT_MAX_STATES
-    recheck_factor: int = 2
 
     def __post_init__(self):
         if self.n_eq < 8:
             raise ValueError(f"n_eq must be at least 8, got {self.n_eq}")
         if self.max_states < 1:
             raise ValueError(f"max_states must be positive, got {self.max_states}")
-        if self.recheck_factor < 2:
-            raise ValueError(f"recheck_factor must be at least 2, got {self.recheck_factor}")
 
 
 class PathExpander:
@@ -183,21 +179,23 @@ def alpha_output(rep: KernelRepresentation, alpha) -> FpElement:
 def recheck(rep: KernelRepresentation, spec: BranchSpec, factor: int = 2) -> bool:
     """Re-verify every stored relation at factor * n_eq coefficients.
 
-    Recomputes each basis series from its digit path at the higher
-    precision and replays the matrix relations, the output vector, and
-    alpha0 against them.  False means the closure was a truncation
-    artifact (or the representation was tampered with); True upgrades
-    the certificate to the larger precision.
+    Expands the root once, far enough for the deepest basis path, takes
+    each basis series from it by sections, and replays the basis
+    prefixes, the output vector, the matrix relations and alpha0 against
+    them.  False means the closure was a truncation artifact (or the
+    representation was tampered with); True upgrades the certificate to
+    the larger precision.
     """
     if factor < 2:
         raise ValueError(f"recheck factor must be at least 2, got {factor}")
     big = factor * rep.n_eq
-    expander = PathExpander(spec)
+    depth = max(len(el.path) for el in rep.basis)
     try:
-        # p*big coefficients per basis element so each section keeps >= big
-        fat = [expander.series(el.path, rep.p * big) for el in rep.basis]
+        # p*big coefficients at the deepest path, so each section keeps >= big
+        root = expand_branch(spec, rep.p * big * rep.p**depth)
     except ChristolError:
         return False
+    fat = [reduce(section, el.path, root) for el in rep.basis]
     zs = [s.truncate(big) for s in fat]
 
     for i, el in enumerate(rep.basis):
@@ -217,9 +215,8 @@ def recheck(rep: KernelRepresentation, spec: BranchSpec, factor: int = 2) -> boo
             if lhs != rhs:
                 return False
 
-    start = expander.series((), big).truncate(big)
     combo = TruncatedSeries.zero(rep.p, big)
     for j in range(rep.m):
         if rep.alpha0[j]:
             combo = combo + zs[j].scale(rep.alpha0[j])
-    return combo == start
+    return combo == root.truncate(big)

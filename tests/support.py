@@ -71,3 +71,30 @@ def random_decimal(rng: random.Random, num_digits: int) -> str:
     first = rng.choice("123456789")
     rest = "".join(rng.choice("0123456789") for _ in range(num_digits - 1))
     return first + rest
+
+
+def random_primitive_denominator(rng: random.Random, p: int, degree: int) -> list:
+    """Coefficients (low order first) of a random D of the given degree
+    modulo which x has order p^degree - 1, so 1/D has the longest period
+    a degree-degree denominator allows.  The order is found by stepping
+    x^e mod D one power at a time."""
+    while True:
+        denom = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(degree - 1)]
+        denom.append(rng.randrange(1, p))
+        lead_inv = pow(denom[-1], p - 2, p)
+        one = [1] + [0] * (degree - 1)
+        power, order = one, 0
+        while True:
+            order += 1
+            carry = power[-1] * lead_inv % p
+            power = [(a - carry * b) % p for a, b in zip([0] + power[:-1], denom)]
+            if power == one:
+                break
+        if order == p**degree - 1:
+            return denom
+
+
+def polynomial_text(coeffs) -> str:
+    """Parser text for a univariate polynomial in x, low order first."""
+    terms = [f"{c}*x^{i}" if i else str(c) for i, c in enumerate(coeffs) if c]
+    return "+".join(terms) or "0"

@@ -18,6 +18,7 @@ from christol import (
     parse_bivariate,
     verify_annihilation,
 )
+from christol.algebraic_series import _expand_baseline, _expand_newton
 from christol.examples import central_binomial_spec, shipped_specs, thue_morse_spec
 from support import lucas_central_binomial_mod3, parity, random_separable_spec
 
@@ -167,10 +168,10 @@ def test_over_long_consistent_seed_is_accepted():
 
 def test_engines_agree_on_shipped_specs():
     for _, spec in shipped_specs():
-        a = expand_branch(spec, 512, method="newton")
-        b = expand_branch(spec, 512, method="baseline")
+        a = _expand_newton(spec.q, spec.seed, 512)
+        b = _expand_baseline(spec.q, spec.seed, 512)
         assert a == b
-        assert expand_branch(spec, 512, method="auto") == a
+        assert expand_branch(spec, 512) == a
 
 
 def test_newton_matches_baseline_on_random_separable_specs():
@@ -181,16 +182,9 @@ def test_newton_matches_baseline_on_random_separable_specs():
         for _ in range(4):
             spec = random_separable_spec(rng, p)
             for n in (1, 2, 3, 127, 128, 129, 1000):
-                newton = expand_branch(spec, n, method="newton")
-                assert newton == expand_branch(spec, n, method="baseline"), (spec, n)
+                newton = _expand_newton(spec.q, spec.seed, n)
+                assert newton == _expand_baseline(spec.q, spec.seed, n), (spec, n)
                 assert newton.precision == n
-
-
-def test_forced_newton_needs_unit_slope():
-    # y^2 + x over F_2: dQ/dy = 0 identically
-    spec = BranchSpec(parse_bivariate("y^2 + x", 2), (0,))
-    with pytest.raises(ValueError):
-        expand_branch(spec, 4, method="newton")
 
 
 def test_baseline_handles_degenerate_slope():
@@ -220,8 +214,6 @@ def test_small_term_counts():
     assert expand_branch(spec, 1).coeffs == (0,)
     with pytest.raises(ValueError):
         expand_branch(spec, -1)
-    with pytest.raises(ValueError):
-        expand_branch(spec, 4, method="gauss")
 
 
 def test_expansion_annihilates_random_polynomials():

@@ -5,10 +5,19 @@ import time
 
 import pytest
 
-from christol import dfao_from_json, build_dfao
+from christol import (
+    BranchSpec,
+    ClosureConfig,
+    build_dfao,
+    dfao_from_json,
+    dfao_to_json,
+    parse_bivariate,
+    query,
+)
+from christol import cli
 from christol.cli import cli_main
 from christol.examples import thue_morse_spec
-from support import parity
+from support import parity, polynomial_text, random_primitive_denominator
 
 TM_ARGS = ["--p", "2", "--poly", "(1+x)^3*y^2 + (1+x)^2*y + x", "--seed", "0"]
 
@@ -122,6 +131,69 @@ def test_automaton_unwritable_path(capsys, tmp_path):
     )
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_automaton_refuses_closure_that_fails_recheck(capsys, tmp_path):
+    # n_eq = 8 cannot separate the sections of 1/(1+x^11); built without
+    # recheck, the machine has 9 states and is wrong at 62 indices below 1024
+    out_path = tmp_path / "x11.json"
+    dot_path = tmp_path / "x11.dot"
+    args = ["automaton", "--p", "2", "--poly", "(1+x^11)*y + 1"]
+    code, out, err = run(
+        capsys, *args, "--n-eq", "8", "--out", str(out_path), "--dot", str(dot_path)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "n_eq=8" in err and "--n-eq" in err
+    assert err.count("\n") == 1
+    assert not out_path.exists() and not dot_path.exists()
+    code, out, _ = run(capsys, *args, "--out", str(out_path))
+    assert (code, out) == (0, "11\n")
+    machine = dfao_from_json(out_path.read_text())
+    for n in range(1024):
+        assert query(machine, str(n)).value == int(n % 11 == 0), n
+
+
+def test_automaton_does_not_walk_the_orbit(capsys, tmp_path, monkeypatch):
+    def orbit_walk(*_args):
+        raise AssertionError("build_dfao is a test oracle only")
+
+    monkeypatch.setattr(cli, "build_dfao", orbit_walk)
+    code, out, _ = run(capsys, "automaton", *TM_ARGS, "--out", str(tmp_path / "tm.json"))
+    assert (code, out) == (0, "2\n")
+
+
+def byte_identity_cases(rng):
+    """(p, poly, seed) for seeded random families: primitive 1/D over
+    F_2, F_3 and F_5, 1/(1+x^k) over F_2, and the central binomial
+    series (1-4x)^(-1/2) over F_3, F_5 and F_7."""
+    cases = []
+    for p, degrees in ((2, (1, 2, 3, 4, 5)), (3, (1, 2, 3)), (5, (1, 2))):
+        for degree in degrees:
+            denom = random_primitive_denominator(rng, p, degree)
+            cases.append((p, f"({polynomial_text(denom)})*y + {p - 1}", ""))
+    for k in range(1, 11):
+        cases.append((2, f"(1+x^{k})*y + 1", ""))
+    for p in (3, 5, 7):
+        cases.append((p, f"(1+{(p - 4) % p}*x)*y^2 + {p - 1}", "1"))
+    return cases
+
+
+def test_automaton_writes_the_orbit_machine_byte_for_byte(capsys, tmp_path):
+    # the linear route, unminimized, numbers its states exactly as the
+    # independent orbit walk does
+    rng = random.Random(20261018)
+    out_path = tmp_path / "m.json"
+    for p, poly, seed in byte_identity_cases(rng):
+        n_eq = rng.choice((None, 16, 32))
+        argv = ["automaton", "--p", str(p), "--poly", poly, "--seed", seed]
+        argv += ["--n-eq", str(n_eq)] if n_eq else []
+        code, out, err = run(capsys, *argv, "--out", str(out_path))
+        assert (code, err) == (0, ""), (p, poly, n_eq, err)
+        spec = BranchSpec(parse_bivariate(poly, p), tuple(int(s) for s in seed.split(",") if s))
+        orbit = build_dfao(spec, ClosureConfig(n_eq=n_eq or 64))
+        assert out_path.read_text() == dfao_to_json(orbit) + "\n", (p, poly, n_eq)
+        assert out == f"{orbit.n_states}\n"
 
 
 def test_query_round_trip(capsys, tmp_path):

@@ -18,6 +18,7 @@ from christol import (
     recheck,
     section,
 )
+from christol import kernel
 from christol.linalg import rank
 from christol.examples import all_ones_spec, central_binomial_spec, shipped_specs, thue_morse_spec
 from support import base_digits, random_separable_spec
@@ -130,9 +131,29 @@ def test_recheck_rejects_tampering():
 
     assert not recheck(dataclasses.replace(rep, b0=(1, 1)), spec)
     assert not recheck(dataclasses.replace(rep, alpha0=(0, 1)), spec)
+    # a stored basis series that its digit path does not produce
+    z1, z2 = rep.basis
+    mislabelled = (z1, z2._replace(series=z1.series))
+    assert not recheck(dataclasses.replace(rep, basis=mislabelled), spec)
 
     with pytest.raises(ValueError):
         recheck(rep, spec, factor=1)
+
+
+def test_recheck_expands_the_root_once(monkeypatch):
+    spec = thue_morse_spec()
+    rep = orbit_closure(spec)
+    depth = max(len(el.path) for el in rep.basis)
+    assert depth >= 1
+    calls = []
+
+    def counting(spec, n):
+        calls.append(n)
+        return expand_branch(spec, n)
+
+    monkeypatch.setattr(kernel, "expand_branch", counting)
+    assert recheck(rep, spec)
+    assert calls == [2 * 2 * rep.n_eq * 2**depth]
 
 
 def test_recheck_catches_wrong_spec():
@@ -155,10 +176,8 @@ def test_config_validation():
         ClosureConfig(n_eq=7)
     with pytest.raises(ValueError):
         ClosureConfig(max_states=0)
-    with pytest.raises(ValueError):
-        ClosureConfig(recheck_factor=1)
-    cfg = ClosureConfig(n_eq=8, max_states=1, recheck_factor=5)
-    assert (cfg.n_eq, cfg.max_states, cfg.recheck_factor) == (8, 1, 5)
+    cfg = ClosureConfig(n_eq=8, max_states=1)
+    assert (cfg.n_eq, cfg.max_states) == (8, 1)
 
 
 def test_custom_n_eq_still_correct():
