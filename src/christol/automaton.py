@@ -14,7 +14,12 @@ provided and deliberately kept independent of each other:
 
 With a basis independent at n_eq, distinct row vectors are distinct
 truncated sections, and both walks are breadth-first with digits
-ascending, so the two machines agree state for state.
+ascending, so the two machines agree state for state.  The linear one is
+minimal for any closure, rechecked or not, so the CLI never calls
+minimize(): as section_d(z) = M[d] z mod x^n_eq for the basis series z,
+state alpha outputs [x^n](alpha . z) on the digits of every n < n_eq, so
+distinct states differ at some n; all are reachable, and minimize() too
+numbers breadth-first with digits ascending.
 
 Least-significant-first digit order makes trailing zeros of the input
 harmless by construction: delta(s, 0) fixes tau, so "6", "06" and "0006"

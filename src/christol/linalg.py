@@ -1,12 +1,10 @@
-"""Dense linear algebra over F_p, sized for desk-scale problems.
+"""Dense linear algebra over F_p on plain sequences of residues.
 
-Vectors are plain sequences of residues.  Nothing here is clever;
-dimensions stay in the dozens, so readability wins over throughput.
+SpanTracker is the one elimination: is a vector a combination of those
+kept so far?  The section closure asks it of truncated sections;
+nullspace_basis asks it of guess_polynomial's columns x^i * f^j, which
+have thousands of entries.
 """
-
-
-def _inv(a: int, p: int) -> int:
-    return pow(a, p - 2, p)
 
 
 class SpanTracker:
@@ -63,7 +61,7 @@ class SpanTracker:
         for combo in self._combos:
             combo.append(0)
         piv = next(j for j, x in enumerate(residual) if x)
-        lead_inv = _inv(residual[piv], self.p)
+        lead_inv = pow(residual[piv], self.p - 2, self.p)
         row = [(x * lead_inv) % self.p for x in residual]
         combo = [0] * (self.size + 1)
         combo[self.size] = 1
@@ -101,36 +99,24 @@ def rank(vectors, p: int, width: int) -> int:
 def nullspace_basis(rows, p: int, ncols: int):
     """Deterministic basis of the right kernel of the matrix given by rows.
 
-    Reduced row echelon form with pivots chosen left to right; one basis
-    vector per free column, in column order.
+    Scans the columns left to right: an independent column joins the
+    span, and a dependent column c gives the basis vector with 1 at c and
+    minus its coordinates at the earlier independent columns.  That is
+    the reduced row echelon basis, one vector per free column in order.
     """
-    mat = [[x % p for x in row] for row in rows]
-    pivot_of_col = {}
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = _inv(mat[r][c], p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                fac = mat[i][c]
-                mat[i] = [(a - fac * b) % p for a, b in zip(mat[i], mat[r])]
-        pivot_of_col[c] = r
-        r += 1
+    tracker = SpanTracker(p, len(rows))
+    members = []  # column index of each tracker member
     basis = []
-    for free in range(ncols):
-        if free in pivot_of_col:
+    for c in range(ncols):
+        col = [row[c] for row in rows]
+        coords = tracker.coordinates(col)
+        if coords is None:
+            tracker.append(col)
+            members.append(c)
             continue
         v = [0] * ncols
-        v[free] = 1
-        for c, row_idx in pivot_of_col.items():
-            v[c] = (-mat[row_idx][free]) % p
+        v[c] = 1
+        for m, x in zip(members, coords):
+            v[m] = -x % p
         basis.append(tuple(v))
     return basis

@@ -98,3 +98,56 @@ def polynomial_text(coeffs) -> str:
     """Parser text for a univariate polynomial in x, low order first."""
     terms = [f"{c}*x^{i}" if i else str(c) for i, c in enumerate(coeffs) if c]
     return "+".join(terms) or "0"
+
+
+def byte_identity_cases(rng):
+    """(p, poly, seed) for seeded random families: primitive 1/D over
+    F_2, F_3 and F_5, 1/(1+x^k) over F_2, and the central binomial
+    series (1-4x)^(-1/2) over F_3, F_5 and F_7."""
+    cases = []
+    for p, degrees in ((2, (1, 2, 3, 4, 5)), (3, (1, 2, 3)), (5, (1, 2))):
+        for degree in degrees:
+            denom = random_primitive_denominator(rng, p, degree)
+            cases.append((p, f"({polynomial_text(denom)})*y + {p - 1}", ""))
+    for k in range(1, 11):
+        cases.append((2, f"(1+x^{k})*y + 1", ""))
+    for p in (3, 5, 7):
+        cases.append((p, f"(1+{(p - 4) % p}*x)*y^2 + {p - 1}", "1"))
+    return cases
+
+
+def rref_nullspace_basis(rows, p: int, ncols: int):
+    """Right kernel basis by reduced row echelon form, pivots chosen left
+    to right, one vector per free column in column order.  This is the
+    elimination nullspace_basis() used before it became a column scan
+    over SpanTracker; it stays here as an independent reference."""
+    mat = [[x % p for x in row] for row in rows]
+    pivot_of_col = {}
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(mat)):
+            if mat[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = pow(mat[r][c], p - 2, p)
+        mat[r] = [(x * inv) % p for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                fac = mat[i][c]
+                mat[i] = [(a - fac * b) % p for a, b in zip(mat[i], mat[r])]
+        pivot_of_col[c] = r
+        r += 1
+    basis = []
+    for free in range(ncols):
+        if free in pivot_of_col:
+            continue
+        v = [0] * ncols
+        v[free] = 1
+        for c, row_idx in pivot_of_col.items():
+            v[c] = (-mat[row_idx][free]) % p
+        basis.append(tuple(v))
+    return basis

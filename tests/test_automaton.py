@@ -24,7 +24,7 @@ from christol import (
 )
 from christol.examples import all_ones_spec, central_binomial_spec, shipped_specs, thue_morse_spec
 from christol.finite_field import ensure_prime
-from support import base_digits, central_binomial_lucas, lucas_central_binomial_mod3, parity, random_decimal
+from support import base_digits, byte_identity_cases, central_binomial_lucas, lucas_central_binomial_mod3, parity, random_decimal
 
 TM_JSON = (
     '{"format":"dfao-v1","p":2,"digit_order":"lsd","start":0,'
@@ -59,6 +59,18 @@ def test_dfao_from_linear_matches_orbit_machine():
         direct = build_dfao(spec)
         linear = dfao_from_linear(orbit_closure(spec))
         assert minimize(direct) == minimize(linear)
+
+
+def test_dfao_from_linear_is_already_minimal():
+    # the CLI writes this machine without minimize(); the automaton module
+    # docstring says why that is sound, also for closures failing recheck
+    rng = random.Random(20261019)
+    for n_eq in (8, 16, 64):
+        cases = byte_identity_cases(rng) + [(2, "(1+x^11)*y + 1", "")]
+        for p, poly, seed in cases:
+            spec = BranchSpec(parse_bivariate(poly, p), tuple(int(s) for s in seed.split(",") if s))
+            machine = dfao_from_linear(orbit_closure(spec, ClosureConfig(n_eq=n_eq)))
+            assert minimize(machine) == machine, (p, poly, n_eq)
 
 
 def test_state_caps_apply():

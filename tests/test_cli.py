@@ -17,7 +17,7 @@ from christol import (
 from christol import cli
 from christol.cli import cli_main
 from christol.examples import thue_morse_spec
-from support import parity, polynomial_text, random_primitive_denominator
+from support import byte_identity_cases, parity
 
 TM_ARGS = ["--p", "2", "--poly", "(1+x)^3*y^2 + (1+x)^2*y + x", "--seed", "0"]
 
@@ -114,6 +114,16 @@ def test_automaton_minimize_flag(capsys, tmp_path):
     )
     assert code == 0
     assert out == "2\n"  # already minimal
+    # the flag is accepted but changes nothing: the machine is minimal
+    for p, poly, seed in byte_identity_cases(random.Random(7)):
+        argv = ["automaton", "--p", str(p), "--poly", poly, "--seed", seed]
+        written = []
+        for flag in ([], ["--minimize"]):
+            path = tmp_path / f"m{len(written)}.json"
+            code, out, err = run(capsys, *argv, *flag, "--out", str(path))
+            assert (code, err) == (0, ""), (p, poly, err)
+            written.append((out, path.read_bytes()))
+        assert written[0] == written[1], (p, poly)
 
 
 def test_automaton_state_cap(capsys, tmp_path):
@@ -161,22 +171,6 @@ def test_automaton_does_not_walk_the_orbit(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_dfao", orbit_walk)
     code, out, _ = run(capsys, "automaton", *TM_ARGS, "--out", str(tmp_path / "tm.json"))
     assert (code, out) == (0, "2\n")
-
-
-def byte_identity_cases(rng):
-    """(p, poly, seed) for seeded random families: primitive 1/D over
-    F_2, F_3 and F_5, 1/(1+x^k) over F_2, and the central binomial
-    series (1-4x)^(-1/2) over F_3, F_5 and F_7."""
-    cases = []
-    for p, degrees in ((2, (1, 2, 3, 4, 5)), (3, (1, 2, 3)), (5, (1, 2))):
-        for degree in degrees:
-            denom = random_primitive_denominator(rng, p, degree)
-            cases.append((p, f"({polynomial_text(denom)})*y + {p - 1}", ""))
-    for k in range(1, 11):
-        cases.append((2, f"(1+x^{k})*y + 1", ""))
-    for p in (3, 5, 7):
-        cases.append((p, f"(1+{(p - 4) % p}*x)*y^2 + {p - 1}", "1"))
-    return cases
 
 
 def test_automaton_writes_the_orbit_machine_byte_for_byte(capsys, tmp_path):

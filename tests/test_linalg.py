@@ -2,7 +2,11 @@ import random
 
 import pytest
 
+from christol import algebraize, expand_branch, guess_polynomial
+from christol.errors import NoRelationFound
+from christol.examples import shipped_specs
 from christol.linalg import SpanTracker, nullspace_basis, rank
+from support import rref_nullspace_basis
 
 
 def test_tracker_membership_and_coordinates():
@@ -99,3 +103,66 @@ def test_nullspace_is_deterministic():
         assert ones
         frees.append(ones[-1])
     assert frees == sorted(frees)
+
+
+def dependent_matrix(rng, p, nrows, ncols):
+    """Rows of a random nrows x ncols matrix whose columns are drawn as
+    zero, a repeat of an earlier column, a random combination of earlier
+    columns, or fresh random entries, so kernels of every size occur."""
+    cols = []
+    for _ in range(ncols):
+        kind = rng.randrange(4) if cols else 3
+        if kind == 0:
+            col = [0] * nrows
+        elif kind == 1:
+            col = list(rng.choice(cols))
+        elif kind == 2:
+            weights = [rng.randrange(p) for _ in cols]
+            col = [sum(w * c[r] for w, c in zip(weights, cols)) % p for r in range(nrows)]
+        else:
+            col = [rng.randrange(p) for _ in range(nrows)]
+        cols.append(col)
+    return [[c[r] for c in cols] for r in range(nrows)]
+
+
+def test_nullspace_matches_rref_reference_on_random_matrices():
+    rng = random.Random(16180)
+    for p in (2, 3, 5, 7, 65521):
+        shapes = [(0, 1), (0, 4), (1, 1), (3, 7), (7, 3), (5, 5), (2, 12), (40, 6)]
+        for nrows, ncols in shapes * 4:
+            rows = dependent_matrix(rng, p, nrows, ncols)
+            assert nullspace_basis(rows, p, ncols) == rref_nullspace_basis(rows, p, ncols)
+        # all-zero, unreduced and negative entries, and a full random matrix
+        zero = [[0] * 6 for _ in range(4)]
+        assert nullspace_basis(zero, p, 6) == rref_nullspace_basis(zero, p, 6)
+        loose = [[rng.randrange(-3 * p, 3 * p) for _ in range(5)] for _ in range(3)]
+        assert nullspace_basis(loose, p, 5) == rref_nullspace_basis(loose, p, 5)
+        full = [[rng.randrange(p) for _ in range(6)] for _ in range(6)]
+        assert nullspace_basis(full, p, 6) == rref_nullspace_basis(full, p, 6)
+        # the shape guess_polynomial produces: thousands of rows, few columns
+        tall = dependent_matrix(rng, p, 2048, 15)
+        basis = nullspace_basis(tall, p, 15)
+        assert basis and basis == rref_nullspace_basis(tall, p, 15)
+
+
+def test_nullspace_matches_rref_reference_on_evaluation_matrices(monkeypatch):
+    seen = []
+
+    def recording(rows, p, ncols):
+        seen.append((rows, p, ncols))
+        return nullspace_basis(rows, p, ncols)
+
+    monkeypatch.setattr(algebraize, "nullspace_basis", recording)
+    for _, spec in shipped_specs():
+        for terms in (16, 64, 512, 2048):
+            f = expand_branch(spec, terms)
+            for dx, dy in ((0, 1), (1, 1), (3, 2), (4, 2), (2, 3)):
+                if (dx + 1) * (dy + 1) + dx + dy > terms:
+                    continue
+                try:
+                    guess_polynomial(f, dx, dy)
+                except NoRelationFound:
+                    pass
+    assert len(seen) == 51
+    for rows, p, ncols in seen:
+        assert nullspace_basis(rows, p, ncols) == rref_nullspace_basis(rows, p, ncols)
