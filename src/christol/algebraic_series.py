@@ -13,11 +13,12 @@ implicit multiplication: write "2*x", not "2x".  Degrees are capped
 of allocating.
 
 expand_branch() grows the unique power series f with Q(x, f) = 0 that
-extends a given seed of low-order coefficients.  The workhorse is
-coefficient-by-coefficient candidate testing; when dQ/dy does not vanish
-at the starting point, a Newton iteration with precision doubling takes
-over and reaches large precision in a logarithmic number of series
-multiplications.
+extends a given seed of low-order coefficients.  Its one engine is a
+Newton iteration with precision doubling, which reaches large precision
+in a logarithmic number of series multiplications once dQ/dy is a unit
+at the start.  A simple root where dQ/dy vanishes at the start is
+first shifted past the seed prefix that shows the valuation of dQ/dy
+along it; the shifted polynomial has a root of unit slope.
 """
 
 import math
@@ -93,30 +94,33 @@ class BivariatePolynomial:
         """Coefficients in x of the y^j term."""
         return tuple(self.coeffs[i][j] for i in range(self.dx + 1))
 
-    def _horner(self, rows, f: TruncatedSeries) -> TruncatedSeries:
-        """sum_j rows[j] * f**j, truncated at f's precision; rows[j] holds
-        the x-coefficients of y^j.  Horner in y: each step is one series
-        product plus the at most dx+1 coefficients of the next row."""
+    def _horner(self, f: TruncatedSeries, m: int = 0) -> TruncatedSeries:
+        """The m-th Hasse derivative in y at f, sum_j C(j, m) * Q_j * f**(j-m)
+        with Q_j the x-coefficients of y^j, truncated at f's precision.
+        Horner in y: each step is one series product plus the at most
+        dx+1 coefficients of the next weighted row."""
         if f.p != self.p:
             raise ModulusMismatch(f"mixed moduli {self.p} and {f.p}")
         p, n = self.p, f.precision
-        acc = list(rows[-1][:n])
-        for row in reversed(rows[:-1]):
-            acc = list(cauchy_product(acc, f.coeffs, p, n))
-            for i, c in enumerate(row[:n]):
-                acc[i] = (acc[i] + c) % p
+        acc = []
+        for j in range(self.dy, m - 1, -1):
+            if acc:
+                acc = list(cauchy_product(acc, f.coeffs, p, n))
+            row = self.y_row(j)[:n]
+            acc += [0] * (len(row) - len(acc))
+            w = math.comb(j, m) % p
+            for i, c in enumerate(row):
+                acc[i] = (acc[i] + w * c) % p
         acc += [0] * (n - len(acc))
         return TruncatedSeries._of(p, tuple(acc))
 
     def evaluate(self, f: TruncatedSeries) -> TruncatedSeries:
         """Q(x, f), truncated at f's precision."""
-        return self._horner([self.y_row(j) for j in range(self.dy + 1)], f)
+        return self._horner(f)
 
     def evaluate_dy(self, f: TruncatedSeries) -> TruncatedSeries:
         """(dQ/dy)(x, f), truncated at f's precision."""
-        p = self.p
-        rows = [tuple(j * c % p for c in self.y_row(j)) for j in range(1, self.dy + 1)]
-        return self._horner(rows, f)
+        return self._horner(f, 1)
 
     def dy_at_origin(self, a0: int) -> int:
         """(dQ/dy)(0, a0) as a residue; nonzero means Newton applies."""
@@ -331,113 +335,30 @@ class BranchSpec:
 # -- expansion --------------------------------------------------------
 
 
+def _value_at_origin(q: BivariatePolynomial, c: int) -> int:
+    """Q(0, c) as a residue, by Horner in y."""
+    acc = 0
+    for j in range(q.dy, -1, -1):
+        acc = (acc * c + q.coeffs[0][j]) % q.p
+    return acc
+
+
 def _roots_at_origin(q: BivariatePolynomial):
     """Residues c with Q(0, c) = 0, by direct evaluation."""
-    p = q.p
-    col = [q.coeffs[0][j] for j in range(q.dy + 1)]
-    roots = []
-    for c in range(p):
-        acc = 0
-        for coeff in reversed(col):
-            acc = (acc * c + coeff) % p
-        if acc == 0:
-            roots.append(c)
-    return roots
+    return [c for c in range(q.p) if not _value_at_origin(q, c)]
 
 
 def _start_coefficient(q: BivariatePolynomial, seed) -> int:
     if seed:
-        a0 = seed[0]
-        acc = 0
-        for j in range(q.dy, -1, -1):
-            acc = (acc * a0 + q.coeffs[0][j]) % q.p
-        if acc:
+        if _value_at_origin(q, seed[0]):
             raise NoBranch(0)
-        return a0
+        return seed[0]
     roots = _roots_at_origin(q)
     if not roots:
         raise NoBranch(0)
     if len(roots) > 1:
         raise AmbiguousBranch(0)
     return roots[0]
-
-
-def _hasse_rows(q: BivariatePolynomial, a0: int, n: int):
-    """H[m] = (m-th Hasse y-derivative of Q)(x, a0) as length-n lists.
-
-    H[m] has y-row coefficients C(j, m) * a0^(j-m) summed over j >= m.
-    """
-    p = q.p
-    rows = []
-    for m in range(q.dy + 1):
-        acc = [0] * n
-        for j in range(m, q.dy + 1):
-            w = (math.comb(j, m) % p) * pow(a0, j - m, p) % p
-            if not w:
-                continue
-            for i in range(min(q.dx + 1, n)):
-                if q.coeffs[i][j]:
-                    acc[i] = (acc[i] + w * q.coeffs[i][j]) % p
-        rows.append(acc)
-    return rows
-
-
-def _hasse_update(rows, c: int, k: int, p: int, n: int):
-    """Replace H[m] <- Hasse rows of Q at (partial + c*x^k).
-
-    Uses H'_m = sum_l C(m+l, m) c^l x^(k*l) H_(m+l); the composition rule
-    for Hasse derivatives, exact in characteristic p.
-    """
-    dy = len(rows) - 1
-    powc = [1]
-    for _ in range(dy):
-        powc.append(powc[-1] * c % p)
-    fresh = []
-    for m in range(dy + 1):
-        acc = rows[m][:]
-        for l in range(1, dy - m + 1):
-            off = k * l
-            if off >= n:
-                break
-            w = (math.comb(m + l, m) % p) * powc[l] % p
-            if not w:
-                continue
-            src = rows[m + l]
-            for idx in range(n - off):
-                if src[idx]:
-                    acc[idx + off] = (acc[idx + off] + w * src[idx]) % p
-        fresh.append(acc)
-    rows[:] = fresh
-
-
-def _expand_baseline(q: BivariatePolynomial, seed, n: int) -> TruncatedSeries:
-    """Candidate-testing expansion: at step k, a residue c survives iff
-    Q(x, partial + c*x^k) = 0 mod x^(k+1).  The Hasse rows make each test
-    a lookup: the condition is H0[k] + c*H1[0] = 0."""
-    p = q.p
-    a0 = _start_coefficient(q, seed)
-    coeffs = [a0]
-    if n == 1:
-        return TruncatedSeries(p, coeffs)
-    rows = _hasse_rows(q, a0, n)
-    qy0 = rows[1][0]
-    inv_qy0 = pow(qy0, p - 2, p) if qy0 else 0
-    for k in range(1, n):
-        v = rows[0][k]
-        if k < len(seed):
-            c = seed[k]
-            if (v + c * qy0) % p:
-                raise NoBranch(k)
-        elif qy0:
-            c = (-v * inv_qy0) % p
-        elif v == 0:
-            raise AmbiguousBranch(k)  # every residue extends mod x^(k+1)
-        else:
-            raise NoBranch(k)
-        coeffs.append(c)
-        if c:
-            _hasse_update(rows, c, k, p, n)
-    return TruncatedSeries(p, coeffs)
 
 
 def _expand_newton(q: BivariatePolynomial, seed, n: int) -> TruncatedSeries:
@@ -473,11 +394,66 @@ def _expand_newton(q: BivariatePolynomial, seed, n: int) -> TruncatedSeries:
     return TruncatedSeries._of(p, f[:n])
 
 
+def _shift(q: BivariatePolynomial, head, v: int) -> BivariatePolynomial:
+    """x^-(2v+1) * Q(x, s + x^(v+1)*z) for the polynomial s = head of
+    length v+1, along which Qy has valuation v.
+
+    Its z^m coefficient is x^((v+1)m - 2v - 1) times the m-th Hasse
+    derivative of Q at s, a polynomial of degree at most dx + v*dy, so
+    evaluating at that precision is exact.  The m = 0 term must vanish
+    below x^(2v+1); where it does not, no series extending head is a
+    root, since adding x^(v+1)*z to s moves Q only from x^(2v+1) on.
+    """
+    p = q.p
+    s = TruncatedSeries._of(p, head + (0,) * (q.dx + v * (q.dy - 1)))
+    hasse = [q._horner(s, m).coeffs for m in range(q.dy + 1)]
+    for k, c in enumerate(hasse[0][: 2 * v + 1]):
+        if c:
+            raise NoBranch(k)
+    return BivariatePolynomial.from_dict(
+        p,
+        {(i + (v + 1) * m - 2 * v - 1, m): c for m, h in enumerate(hasse) for i, c in enumerate(h) if c},
+    )
+
+
+def _expand_singular(q: BivariatePolynomial, seed, n: int) -> TruncatedSeries:
+    """Expansion of a root through a0 = seed[0] where Qy(0, a0) = 0.
+
+    With Qy(0, a0) = 0 the coefficient of x^k in Q(x, s) does not depend
+    on s beyond index k-1, so the seed is checked index by index first.
+    If Qy has valuation v along the seed, the shift y = s + x^(v+1)*z
+    (Kung and Traub, J. ACM 1978) turns the root into one of unit slope,
+    which Newton expands; that needs the seed to run one coefficient
+    past v.  A shorter seed, or an inseparable Q, leaves the next
+    coefficient undetermined or impossible.
+    """
+    p, size = q.p, len(seed)
+    s = TruncatedSeries._of(p, seed + (0,))
+    value = q.evaluate(s).coeffs
+    for k in range(min(n, size)):
+        if value[k]:
+            raise NoBranch(k)
+    if n <= size:
+        return TruncatedSeries._of(p, seed[:n])
+    slope = q.evaluate_dy(s).coeffs[:size]
+    v = next((k for k, c in enumerate(slope) if c), size)
+    if v == size:
+        raise (NoBranch if value[size] else AmbiguousBranch)(size)
+    head = seed[: v + 1]
+    f = head + _expand_newton(_shift(q, head, v), (), n - v - 1).coeffs
+    for k in range(v + 1, size):
+        if f[k] != seed[k]:
+            raise NoBranch(k)
+    return TruncatedSeries._of(p, f)
+
+
 def expand_branch(spec: BranchSpec, n: int) -> TruncatedSeries:
     """First n coefficients of the series root of spec.q extending spec.seed.
 
-    Newton iteration when dQ/dy(0, a0) is a unit, candidate testing
-    otherwise; both engines produce identical output where both apply.
+    Newton iteration when dQ/dy(0, a0) is a unit.  Otherwise the seed
+    must show the valuation v of dQ/dy along the root and one more
+    coefficient; the shift past that prefix leaves a root of unit slope,
+    again expanded by Newton.
     """
     if n < 0:
         raise ValueError(f"term count must be nonnegative, got {n}")
@@ -486,7 +462,7 @@ def expand_branch(spec: BranchSpec, n: int) -> TruncatedSeries:
     a0 = _start_coefficient(spec.q, spec.seed)
     if spec.q.dy_at_origin(a0) != 0:
         return _expand_newton(spec.q, spec.seed, n)
-    return _expand_baseline(spec.q, spec.seed, n)
+    return _expand_singular(spec.q, spec.seed or (a0,), n)
 
 
 def expand_rational(p: int, numer, denom, n: int) -> TruncatedSeries:

@@ -89,7 +89,9 @@ class KernelRepresentation:
     matrices[d][i][j] is the j-th coordinate of section(z_i, d) over the
     basis z_1..z_m; row vectors update as alpha <- alpha * M[d].  b0
     holds the constant terms of the basis, so alpha . b0 is the output.
-    alpha0 is e_1: the series itself is the first basis element.
+    alpha0 is e_1, the series itself being the first basis element,
+    unless the series is zero at n_eq: then the basis is empty, m = 0,
+    alpha0 = () and every output is 0.
     Everything was verified at truncation precision n_eq.
     """
 
@@ -117,27 +119,28 @@ def orbit_closure(spec: BranchSpec, cfg: ClosureConfig | None = None) -> KernelR
     expander = PathExpander(spec)
     tracker = SpanTracker(p, cfg.n_eq)
 
-    root = expander.series((), cfg.n_eq).truncate(cfg.n_eq)
-    basis = [BasisElement((), root)]
-    tracker.append(root.coeffs)
+    basis = []
     rows = [[] for _ in range(p)]  # rows[d][i] = coords of section(z_i, d)
 
+    def adopt(path):
+        """Coordinates of the series at path, adopting it if independent."""
+        s = expander.series(path, cfg.n_eq).truncate(cfg.n_eq)
+        coords = tracker.coordinates(s.coeffs)
+        if coords is None:
+            if len(basis) >= cfg.max_states:
+                raise StateCapExceeded(
+                    f"section closure exceeds {cfg.max_states} basis elements"
+                )
+            tracker.append(s.coeffs)
+            basis.append(BasisElement(path, s))
+            coords = (0,) * (len(basis) - 1) + (1,)
+        return coords
+
+    alpha0 = adopt(())
     i = 0
     while i < len(basis):
-        path = basis[i].path
         for d in range(p):
-            child_path = path + (d,)
-            child = expander.series(child_path, cfg.n_eq).truncate(cfg.n_eq)
-            coords = tracker.coordinates(child.coeffs)
-            if coords is None:
-                if len(basis) >= cfg.max_states:
-                    raise StateCapExceeded(
-                        f"section closure exceeds {cfg.max_states} basis elements"
-                    )
-                tracker.append(child.coeffs)
-                basis.append(BasisElement(child_path, child))
-                coords = (0,) * (len(basis) - 1) + (1,)
-            rows[d].append(coords)
+            rows[d].append(adopt(basis[i].path + (d,)))
         i += 1
 
     m = len(basis)
@@ -145,7 +148,7 @@ def orbit_closure(spec: BranchSpec, cfg: ClosureConfig | None = None) -> KernelR
         tuple(tuple(row) + (0,) * (m - len(row)) for row in rows[d]) for d in range(p)
     )
     b0 = tuple(el.series.coeffs[0] for el in basis)
-    alpha0 = (1,) + (0,) * (m - 1)
+    alpha0 += (0,) * (m - len(alpha0))
     return KernelRepresentation(
         p=p, basis=tuple(basis), matrices=matrices, b0=b0, alpha0=alpha0, n_eq=cfg.n_eq
     )
@@ -189,7 +192,7 @@ def recheck(rep: KernelRepresentation, spec: BranchSpec, factor: int = 2) -> boo
     if factor < 2:
         raise ValueError(f"recheck factor must be at least 2, got {factor}")
     big = factor * rep.n_eq
-    depth = max(len(el.path) for el in rep.basis)
+    depth = max((len(el.path) for el in rep.basis), default=0)
     try:
         # p*big coefficients at the deepest path, so each section keeps >= big
         root = expand_branch(spec, rep.p * big * rep.p**depth)

@@ -8,7 +8,8 @@ binomials from math.comb, so a library bug cannot vouch for itself.
 import math
 import random
 
-from christol import BivariatePolynomial, BranchSpec, TruncatedSeries
+from christol import AmbiguousBranch, BivariatePolynomial, BranchSpec, NoBranch, TruncatedSeries
+from christol.algebraic_series import _start_coefficient
 
 
 def parity(n: int) -> int:
@@ -60,6 +61,57 @@ def random_separable_spec(rng: random.Random, p: int, max_dx: int = 4, max_dy: i
         grid[0][0] = -sum(grid[0][j] * a0**j for j in range(1, max_dy + 1)) % p
         if sum(j * grid[0][j] * a0 ** (j - 1) for j in range(1, max_dy + 1)) % p:
             return BranchSpec(BivariatePolynomial(p, grid), seed=(a0,))
+
+
+def close_roots_case(rng: random.Random, p: int, v: int):
+    """(poly text, r, seed) for Q = (y - r)(y - r - u*x^v)(1 + c1*x + c2*x*y)
+    with a random polynomial r and u != 0.  The roots r and r + u*x^v
+    agree below x^v, so dQ/dy has valuation v along r, and the seed is
+    r mod x^(v+1), the shortest prefix that tells them apart.  The third
+    factor is linear in y with no power-series root."""
+    r = [rng.randrange(p) for _ in range(rng.randint(1, v + 3))]
+    u, c1, c2 = rng.randrange(1, p), rng.randrange(p), rng.randrange(p)
+    rt = polynomial_text(r)
+    text = f"(y - ({rt}))*(y - ({rt}) - {u}*x^{v})*(1 + {c1}*x + {c2}*x*y)"
+    seed = tuple(r[: v + 1]) + (0,) * (v + 1 - len(r))
+    return text, r, seed
+
+
+def random_singular_spec(rng: random.Random, p: int, max_dx: int = 3, max_dy: int = 3):
+    """A random Q and a root a0 of Q(0, y) with dQ/dy(0, a0) = 0, so
+    Newton does not apply at the start."""
+    while True:
+        grid = [[rng.randrange(p) for _ in range(max_dy + 1)] for _ in range(max_dx + 1)]
+        a0 = rng.randrange(p)
+        grid[0][1] = -sum(j * grid[0][j] * a0 ** (j - 1) for j in range(2, max_dy + 1)) % p
+        grid[0][0] = -sum(grid[0][j] * a0**j for j in range(1, max_dy + 1)) % p
+        if any(grid[i][j] for i in range(max_dx + 1) for j in range(1, max_dy + 1)):
+            return BivariatePolynomial(p, grid), a0
+
+
+def naive_compose(grid, p: int, f, n: int) -> list:
+    """sum_ij grid[i][j] * x^i * f^j mod x^n for a coefficient list f, by
+    schoolbook products of plain lists."""
+    out, power = [0] * n, [1] + [0] * (n - 1)
+    for j in range(len(grid[0])):
+        for i in range(min(len(grid), n)):
+            for k in range(n - i):
+                out[i + k] = (out[i + k] + grid[i][j] * power[k]) % p
+        power = [sum(power[a] * f[k - a] for a in range(k + 1) if k - a < len(f)) % p for k in range(n)]
+    return out
+
+
+def root_prefixes(q: BivariatePolynomial, seed, depth: int) -> list:
+    """Every f of length depth extending seed with Q(x, f) = 0 mod x^depth.
+
+    Grown one coefficient at a time: Q(x, f) mod x^(k+1) depends only on
+    f mod x^(k+1), so a prefix that fails mod x^(k+1) has no extension
+    that succeeds."""
+    level = [()]
+    for k in range(depth):
+        choices = (seed[k],) if k < len(seed) else range(q.p)
+        level = [f + (c,) for f in level for c in choices if not naive_compose(q.coeffs, q.p, f + (c,), k + 1)[k]]
+    return level
 
 
 def random_series(rng: random.Random, p: int, max_len: int = 48, min_len: int = 0) -> TruncatedSeries:
@@ -151,3 +203,85 @@ def rref_nullspace_basis(rows, p: int, ncols: int):
             v[c] = (-mat[row_idx][free]) % p
         basis.append(tuple(v))
     return basis
+
+
+def _hasse_rows(q: BivariatePolynomial, a0: int, n: int):
+    """H[m] = (m-th Hasse y-derivative of Q)(x, a0) as length-n lists.
+
+    H[m] has y-row coefficients C(j, m) * a0^(j-m) summed over j >= m.
+    """
+    p = q.p
+    rows = []
+    for m in range(q.dy + 1):
+        acc = [0] * n
+        for j in range(m, q.dy + 1):
+            w = (math.comb(j, m) % p) * pow(a0, j - m, p) % p
+            if not w:
+                continue
+            for i in range(min(q.dx + 1, n)):
+                if q.coeffs[i][j]:
+                    acc[i] = (acc[i] + w * q.coeffs[i][j]) % p
+        rows.append(acc)
+    return rows
+
+
+def _hasse_update(rows, c: int, k: int, p: int, n: int):
+    """Replace H[m] <- Hasse rows of Q at (partial + c*x^k).
+
+    Uses H'_m = sum_l C(m+l, m) c^l x^(k*l) H_(m+l); the composition rule
+    for Hasse derivatives, exact in characteristic p.
+    """
+    dy = len(rows) - 1
+    powc = [1]
+    for _ in range(dy):
+        powc.append(powc[-1] * c % p)
+    fresh = []
+    for m in range(dy + 1):
+        acc = rows[m][:]
+        for l in range(1, dy - m + 1):
+            off = k * l
+            if off >= n:
+                break
+            w = (math.comb(m + l, m) % p) * powc[l] % p
+            if not w:
+                continue
+            src = rows[m + l]
+            for idx in range(n - off):
+                if src[idx]:
+                    acc[idx + off] = (acc[idx + off] + w * src[idx]) % p
+        fresh.append(acc)
+    rows[:] = fresh
+
+
+def expand_baseline(q: BivariatePolynomial, seed, n: int) -> TruncatedSeries:
+    """Candidate-testing expansion: at step k, a residue c survives iff
+    Q(x, partial + c*x^k) = 0 mod x^(k+1).  The Hasse rows make each test
+    a lookup: the condition is H0[k] + c*H1[0] = 0.
+
+    This is the engine expand_branch() used before the shift replaced it
+    where dQ/dy(0, a0) = 0; it stays here as an independent reference.
+    Where dQ/dy(0, a0) = 0 it returns at most the seed."""
+    p = q.p
+    a0 = _start_coefficient(q, seed)
+    coeffs = [a0]
+    if n == 1:
+        return TruncatedSeries(p, coeffs)
+    rows = _hasse_rows(q, a0, n)
+    qy0 = rows[1][0]
+    inv_qy0 = pow(qy0, p - 2, p) if qy0 else 0
+    for k in range(1, n):
+        v = rows[0][k]
+        if k < len(seed):
+            c = seed[k]
+            if (v + c * qy0) % p:
+                raise NoBranch(k)
+        elif qy0:
+            c = (-v * inv_qy0) % p
+        elif v == 0:
+            raise AmbiguousBranch(k)  # every residue extends mod x^(k+1)
+        else:
+            raise NoBranch(k)
+        coeffs.append(c)
+        if c:
+            _hasse_update(rows, c, k, p, n)
+    return TruncatedSeries(p, coeffs)

@@ -18,9 +18,18 @@ from christol import (
     parse_bivariate,
     verify_annihilation,
 )
-from christol.algebraic_series import _expand_baseline, _expand_newton
+from christol.algebraic_series import _expand_newton
 from christol.examples import central_binomial_spec, shipped_specs, thue_morse_spec
-from support import lucas_central_binomial_mod3, parity, random_separable_spec
+from support import (
+    close_roots_case,
+    expand_baseline,
+    lucas_central_binomial_mod3,
+    naive_compose,
+    parity,
+    random_separable_spec,
+    random_singular_spec,
+    root_prefixes,
+)
 
 
 # -- parsing ----------------------------------------------------------
@@ -169,7 +178,7 @@ def test_over_long_consistent_seed_is_accepted():
 def test_engines_agree_on_shipped_specs():
     for _, spec in shipped_specs():
         a = _expand_newton(spec.q, spec.seed, 512)
-        b = _expand_baseline(spec.q, spec.seed, 512)
+        b = expand_baseline(spec.q, spec.seed, 512)
         assert a == b
         assert expand_branch(spec, 512) == a
 
@@ -183,7 +192,7 @@ def test_newton_matches_baseline_on_random_separable_specs():
             spec = random_separable_spec(rng, p)
             for n in (1, 2, 3, 127, 128, 129, 1000):
                 newton = _expand_newton(spec.q, spec.seed, n)
-                assert newton == _expand_baseline(spec.q, spec.seed, n), (spec, n)
+                assert newton == expand_baseline(spec.q, spec.seed, n), (spec, n)
                 assert newton.precision == n
 
 
@@ -206,6 +215,116 @@ def test_baseline_handles_degenerate_slope():
     with pytest.raises(NoBranch) as info:
         expand_branch(spec3, 5)
     assert info.value.index == 3
+
+
+def test_shift_expands_a_root_with_singular_slope():
+    # y^2 + x*y + x^3 over F_3: Q(0, y) = y^2 has the double root 0, and
+    # dQ/dy = 2*y + x has valuation 1 along both roots, told apart by a_1
+    q = parse_bivariate("y^2 + x*y + x^3", 3)
+    roots = []
+    for seed in ((0, 0), (0, 2)):
+        f = expand_branch(BranchSpec(q, seed), 3**7)
+        assert f.coeffs[:2] == seed and f.precision == 3**7
+        assert verify_annihilation(q, f)
+        roots.append(f)
+    assert roots[0] != roots[1]
+    assert expand_branch(BranchSpec(q, (0, 0)), 12).coeffs == roots[0].coeffs[:12]
+    assert expand_branch(BranchSpec(q, (0, 2)), 1).coeffs == (0,)
+    # the seed 0 stops at index v = 1, and both branches extend it
+    with pytest.raises(AmbiguousBranch) as info:
+        expand_branch(BranchSpec(q, (0,)), 4)
+    assert info.value.index == 1
+    # a_1 = 1 fails Q at x^2, which no later coefficient can repair
+    with pytest.raises(NoBranch) as info:
+        expand_branch(BranchSpec(q, (0, 1)), 4)
+    assert info.value.index == 2
+    # a seed that runs past the valuation is checked against the root:
+    # 0,0,1 passes Q up to x^2, but the root through 0,0 has a_2 = 2
+    assert roots[0].coeffs[2] == 2
+    with pytest.raises(NoBranch) as info:
+        expand_branch(BranchSpec(q, (0, 0, 1)), 8)
+    assert info.value.index == 2
+
+
+def test_shift_rejects_a_seed_that_fails_below_twice_the_valuation():
+    # x^3 + y^3 over F_2 with seed 0,1,1: dQ/dy = y^2 has valuation 2,
+    # and Q(x, x + x^2) = x^4 + ... fails below x^5, so no root extends
+    # the seed; candidate testing could only call coefficient 3 ambiguous
+    q = parse_bivariate("x^3 + y^3", 2)
+    with pytest.raises(AmbiguousBranch) as info:
+        expand_baseline(q, (0, 1, 1), 6)
+    assert info.value.index == 3
+    with pytest.raises(NoBranch) as info:
+        expand_branch(BranchSpec(q, (0, 1, 1)), 6)
+    assert info.value.index == 4
+    assert root_prefixes(q, (0, 1, 1), 5) == []
+
+
+def test_shift_expands_close_roots():
+    # (y - r)(y - r - u*x^v)(...): Newton cannot start at r(0), the seed
+    # r mod x^(v+1) picks r, and the expansion is r padded with zeros
+    rng = random.Random(20261018)
+    for p in (2, 3, 5, 7):
+        for v in (1, 2, 3, 4):
+            for _ in range(3):
+                text, r, seed = close_roots_case(rng, p, v)
+                q = parse_bivariate(text, p)
+                assert q.dy_at_origin(seed[0]) == 0, text
+                for n in (v + 2, 2 * v + 3, 64):
+                    f = expand_branch(BranchSpec(q, seed), n)
+                    assert f.coeffs == tuple(r[:n]) + (0,) * (n - len(r)), (text, n)
+
+
+def test_shift_against_the_baseline_on_singular_specs():
+    # The baseline returns at most the seed when dQ/dy(0, a0) = 0.  The
+    # shift must return the same series, keep every NoBranch, and turn an
+    # AmbiguousBranch only into the same error, a root extending the seed,
+    # or a NoBranch that a candidate search confirms.
+    rng = random.Random(6)
+    outcomes = {}
+    for case in range(6000):
+        p = (2, 3, 5)[case % 3]
+        if case % 2:
+            q, a0 = random_singular_spec(rng, p)
+            seed = (a0,) + tuple(rng.randrange(p) for _ in range(rng.randrange(4)))
+        else:
+            text, r, seed = close_roots_case(rng, p, rng.randint(1, 3))
+            q = parse_bivariate(text, p)
+            seed = seed[: rng.randint(1, len(seed) + 1)]
+            if rng.random() < 0.3:
+                k = rng.randrange(1, len(seed) + 1)
+                seed = seed[:k - 1] + (rng.randrange(p),) + seed[k:]
+        n = rng.randint(1, 12)
+        results = []
+        for expand in (expand_baseline, lambda q, seed, n: expand_branch(BranchSpec(q, seed), n)):
+            try:
+                results.append(expand(q, seed, n))
+            except (AmbiguousBranch, NoBranch) as exc:
+                results.append(exc)
+        old, new = results
+        kind = (type(old).__name__, type(new).__name__)
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+        where = (q, seed, n)
+        if isinstance(old, TruncatedSeries):
+            assert new == old, where
+        elif isinstance(old, NoBranch):
+            assert isinstance(new, NoBranch), where
+        elif isinstance(new, AmbiguousBranch):
+            assert new.index == old.index, where
+        elif isinstance(new, TruncatedSeries):
+            assert new.precision == n and new.coeffs[: len(seed)] == seed[:n], where
+            assert verify_annihilation(q, new), where
+        else:
+            # a root extending the seed agrees with the root of the shift
+            # past index new.index + v, so candidates that deep must die out
+            dq = [[j * c for j, c in enumerate(row)][1:] for row in q.coeffs]
+            slope = naive_compose(dq, p, seed, len(seed))
+            v = next(k for k, c in enumerate(slope) if c)
+            assert root_prefixes(q, seed, new.index + v + 1) == [], where
+    assert outcomes[("TruncatedSeries", "TruncatedSeries")] > 500
+    assert outcomes[("AmbiguousBranch", "TruncatedSeries")] > 500
+    assert outcomes[("AmbiguousBranch", "NoBranch")] > 10
+    assert outcomes[("NoBranch", "NoBranch")] > 500
 
 
 def test_small_term_counts():

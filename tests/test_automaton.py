@@ -20,6 +20,7 @@ from christol import (
     orbit_closure,
     parse_bivariate,
     query,
+    recheck,
     to_digits_lsd,
 )
 from christol.examples import all_ones_spec, central_binomial_spec, shipped_specs, thue_morse_spec
@@ -59,6 +60,22 @@ def test_dfao_from_linear_matches_orbit_machine():
         direct = build_dfao(spec)
         linear = dfao_from_linear(orbit_closure(spec))
         assert minimize(direct) == minimize(linear)
+
+
+def test_machines_for_roots_with_singular_slope():
+    # dQ/dy(0, 0) = 0 for y^2 + x*y + x^3 over F_3; each seed picks a
+    # simple root, which the closure takes from the shifted expansion
+    q = parse_bivariate("y^2 + x*y + x^3", 3)
+    for seed in ((0, 0), (0, 2)):
+        spec = BranchSpec(q, seed)
+        rep = orbit_closure(spec)
+        assert recheck(rep, spec)
+        machine = dfao_from_linear(rep)
+        assert machine.n_states == 6
+        assert machine == minimize(build_dfao(spec))
+        f = expand_branch(spec, 3**7)
+        for n in range(3**7):
+            assert query(machine, str(n)).value == f.coeffs[n], (seed, n)
 
 
 def test_dfao_from_linear_is_already_minimal():

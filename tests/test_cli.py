@@ -11,13 +11,14 @@ from christol import (
     build_dfao,
     dfao_from_json,
     dfao_to_json,
+    minimize,
     parse_bivariate,
     query,
 )
 from christol import cli
 from christol.cli import cli_main
 from christol.examples import thue_morse_spec
-from support import byte_identity_cases, parity
+from support import byte_identity_cases, close_roots_case, parity
 
 TM_ARGS = ["--p", "2", "--poly", "(1+x)^3*y^2 + (1+x)^2*y + x", "--seed", "0"]
 
@@ -51,6 +52,17 @@ def test_expand_ambiguous_branch_is_a_computation_error(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_expand_a_root_with_singular_slope(capsys):
+    # dQ/dy vanishes at the start; a seed one coefficient past the
+    # valuation of dQ/dy picks a simple root
+    argv = ["expand", "--p", "3", "--poly", "y^2 + x*y + x^3", "--terms", "8"]
+    for seed, head in (("0,0", "0,0,2,2,1,1,1,0"), ("0,2", "0,2,1,1,2,2,2,0")):
+        assert run(capsys, *argv, "--seed", seed) == (0, head + "\n", "")
+    code, out, err = run(capsys, *argv, "--seed", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: coefficient 1 is not determined by the seed\n"
 
 
 def test_expand_bad_polynomial_text(capsys):
@@ -188,6 +200,47 @@ def test_automaton_writes_the_orbit_machine_byte_for_byte(capsys, tmp_path):
         orbit = build_dfao(spec, ClosureConfig(n_eq=n_eq or 64))
         assert out_path.read_text() == dfao_to_json(orbit) + "\n", (p, poly, n_eq)
         assert out == f"{orbit.n_states}\n"
+
+
+def test_automaton_for_roots_with_singular_slope(capsys, tmp_path):
+    out_path = tmp_path / "m.json"
+    argv = ["automaton", "--p", "3", "--poly", "y^2 + x*y + x^3", "--out", str(out_path)]
+    for seed in ("0,0", "0,2"):
+        assert run(capsys, *argv, "--seed", seed) == (0, "6\n", "")
+    # (y - r)(y - r - u*x^v)(...), seeded with r mod x^(v+1): the machine
+    # is the orbit oracle's, and it spells out the polynomial r
+    rng = random.Random(20261019)
+    for p in (2, 3, 5, 7):
+        for v in (1, 2, 3, 4):
+            text, r, seed = close_roots_case(rng, p, v)
+            argv = ["automaton", "--p", str(p), "--poly", text, "--seed", ",".join(map(str, seed))]
+            code, out, err = run(capsys, *argv, "--out", str(out_path))
+            assert (code, err) == (0, ""), (text, err)
+            oracle = minimize(build_dfao(BranchSpec(parse_bivariate(text, p), seed)))
+            assert out_path.read_text() == dfao_to_json(oracle) + "\n", text
+            assert out == f"{oracle.n_states}\n"
+            for n in range(4 * len(r)):
+                assert query(oracle, str(n)).value == (r[n] if n < len(r) else 0)
+
+
+def test_automaton_for_zero_roots(capsys, tmp_path):
+    out_path = tmp_path / "zero.json"
+    code, out, err = run(capsys, "automaton", "--p", "3", "--poly", "y", "--out", str(out_path))
+    assert (code, out, err) == (0, "1\n", "")
+    machine = dfao_from_json(out_path.read_text())
+    assert (machine.delta, machine.tau) == (((0, 0, 0),), (0,))
+    # the root of y + x^64 vanishes below x^64: the closure at the default
+    # n_eq sees zero, recheck at doubled precision does not
+    out_path = tmp_path / "x64.json"
+    args = ["automaton", "--p", "2", "--poly", "y + x^64", "--out", str(out_path)]
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (1, "")
+    assert err == "error: the section closure at n_eq=64 fails recheck at doubled precision; raise --n-eq\n"
+    assert not out_path.exists()
+    assert run(capsys, *args, "--n-eq", "128") == (0, "9\n", "")
+    machine = dfao_from_json(out_path.read_text())
+    for n in range(1024):
+        assert query(machine, str(n)).value == int(n == 64), n
 
 
 def test_query_round_trip(capsys, tmp_path):

@@ -12,6 +12,7 @@ from christol import (
     StateCapExceeded,
     alpha_output,
     alpha_step,
+    dfao_from_linear,
     expand_branch,
     orbit_closure,
     parse_bivariate,
@@ -160,6 +161,25 @@ def test_recheck_catches_wrong_spec():
     # a representation certified for one series fails against another
     rep = orbit_closure(thue_morse_spec())
     assert not recheck(rep, all_ones_spec())
+
+
+def test_zero_root_has_an_empty_basis():
+    # the root is adopted only if independent, like every section: a zero
+    # root gives m = 0, alpha0 = () and a one-state machine that outputs 0
+    for text, p in (("y", 3), ("(1+x)*y", 2)):
+        spec = BranchSpec(parse_bivariate(text, p))
+        rep = orbit_closure(spec)
+        assert (rep.m, rep.alpha0, rep.b0, rep.matrices) == (0, (), (), ((),) * p)
+        assert recheck(rep, spec)
+        machine = dfao_from_linear(rep)
+        assert (machine.delta, machine.tau) == (((0,) * p,), (0,))
+    # y + x^64 is zero only below x^64, which recheck sees at n_eq 64
+    spec = BranchSpec(parse_bivariate("y + x^64", 2))
+    rep = orbit_closure(spec)
+    assert rep.m == 0 and not recheck(rep, spec)
+    rep = orbit_closure(spec, ClosureConfig(n_eq=128))
+    assert rep.alpha0 == (1,) + (0,) * (rep.m - 1)
+    assert recheck(rep, spec)
 
 
 def test_state_cap():
