@@ -461,7 +461,7 @@ def expand_branch(spec: BranchSpec, n: int) -> TruncatedSeries:
         return TruncatedSeries(spec.p)
     a0 = _start_coefficient(spec.q, spec.seed)
     if spec.q.dy_at_origin(a0) != 0:
-        return _expand_newton(spec.q, spec.seed, n)
+        return _expand_newton(spec.q, spec.seed or (a0,), n)
     return _expand_singular(spec.q, spec.seed or (a0,), n)
 
 

@@ -155,62 +155,37 @@ def dfao_from_linear(rep: KernelRepresentation, max_states: int = DEFAULT_MAX_ST
 
 def minimize(a: Dfao) -> Dfao:
     """The minimum-state machine with the same outputs on every digit
-    string: unreachable states dropped, then Moore partition refinement
-    starting from the partition by tau.  State numbering of the result
-    is breadth-first from the start state, so isomorphic inputs minimize
-    to equal machines.
+    string: Moore partition refinement over every state, starting from
+    the partition by tau, then the classes reachable from the start.  A
+    state's class depends only on the states it reaches, so unreachable
+    states split no reachable ones.  State numbering of the result is
+    breadth-first from the start state, so isomorphic inputs minimize to
+    equal machines.
     """
-    # reachable restriction
-    order = [a.start]
-    seen = {a.start}
-    qi = 0
-    while qi < len(order):
-        for d in range(a.p):
-            t = a.delta[order[qi]][d]
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-        qi += 1
-
-    cls = {s: a.tau[s] for s in order}
-    # normalize class labels to 0..k-1 by first occurrence
+    cls = a.tau
     while True:
+        # normalize class labels to 0..k-1 by first occurrence
         signatures = {}
-        fresh = {}
-        for s in order:
-            sig = (cls[s], tuple(cls[a.delta[s][d]] for d in range(a.p)))
-            if sig not in signatures:
-                signatures[sig] = len(signatures)
-            fresh[s] = signatures[sig]
-        if len(signatures) == len(set(cls.values())):
-            cls = fresh
+        fresh = [
+            signatures.setdefault((cls[s], tuple(cls[t] for t in a.delta[s])), len(signatures))
+            for s in range(a.n_states)
+        ]
+        if len(signatures) == len(set(cls)):
             break
         cls = fresh
 
-    # canonical numbering: BFS over classes from the start class
-    rep_of = {}
-    for s in order:  # first state of each class in BFS order represents it
-        rep_of.setdefault(cls[s], s)
+    # canonical numbering: BFS over classes, each represented by the
+    # first state that reaches it
     renum = {cls[a.start]: 0}
-    worklist = [rep_of[cls[a.start]]]
-    qi = 0
-    while qi < len(worklist):
-        s = worklist[qi]
-        for d in range(a.p):
-            c = cls[a.delta[s][d]]
-            if c not in renum:
-                renum[c] = len(renum)
-                worklist.append(rep_of[c])
-        qi += 1
-
-    n = len(renum)
-    delta = [None] * n
-    tau = [None] * n
-    for c, new_id in renum.items():
-        s = rep_of[c]
-        delta[new_id] = tuple(renum[cls[a.delta[s][d]]] for d in range(a.p))
-        tau[new_id] = a.tau[s]
-    return Dfao(p=a.p, start=0, delta=tuple(delta), tau=tuple(tau))
+    reps = [a.start]
+    for s in reps:
+        for t in a.delta[s]:
+            if cls[t] not in renum:
+                renum[cls[t]] = len(renum)
+                reps.append(t)
+    delta = tuple(tuple(renum[cls[t]] for t in a.delta[s]) for s in reps)
+    tau = tuple(a.tau[s] for s in reps)
+    return Dfao(p=a.p, start=0, delta=delta, tau=tau)
 
 
 # Leaf chunks of the decimal parse stay below 640 digits, the lowest

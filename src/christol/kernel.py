@@ -125,13 +125,12 @@ def orbit_closure(spec: BranchSpec, cfg: ClosureConfig | None = None) -> KernelR
     def adopt(path):
         """Coordinates of the series at path, adopting it if independent."""
         s = expander.series(path, cfg.n_eq).truncate(cfg.n_eq)
-        coords = tracker.coordinates(s.coeffs)
+        coords = tracker.append(s.coeffs)
         if coords is None:
             if len(basis) >= cfg.max_states:
                 raise StateCapExceeded(
                     f"section closure exceeds {cfg.max_states} basis elements"
                 )
-            tracker.append(s.coeffs)
             basis.append(BasisElement(path, s))
             coords = (0,) * (len(basis) - 1) + (1,)
         return coords

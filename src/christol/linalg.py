@@ -3,7 +3,9 @@
 SpanTracker is the one elimination: is a vector a combination of those
 kept so far?  The section closure asks it of truncated sections;
 nullspace_basis asks it of guess_polynomial's columns x^i * f^j, which
-have thousands of entries.
+have thousands of entries.  Its echelon rows stay in insertion order,
+each reduced only against the rows before it, so one pass in order
+reduces a vector and a vector outside the span joins it in that pass.
 """
 
 
@@ -11,40 +13,45 @@ class SpanTracker:
     """Grows a list of 'member' vectors and answers membership queries
     against their span, with coordinates over the original members.
 
-    Internally keeps the members' row space in reduced echelon form,
-    together with change-of-basis rows, so that coordinates() is a single
-    elimination pass.
+    Echelon row k is member k reduced against rows 0..k-1 and scaled to
+    pivot entry 1, at its first nonzero column.  Every later row is
+    clear at that column, so a single pass over the rows in order clears
+    every pivot.  combos[k] writes row k over members 0..k, a triangular
+    change of basis.
+
+    append(vec) decides and adopts in one reduction: it returns vec's
+    coordinates if vec lies in the span, and otherwise makes vec the next
+    member and returns None.  coordinates(vec) is the same query without
+    adopting.
     """
 
     def __init__(self, p: int, width: int):
         self.p = p
         self.width = width
         self.size = 0  # number of members added
-        self._rows = []  # echelon rows, pivot entry 1, pivot column clear elsewhere
+        self._rows = []  # echelon rows in insertion order, pivot entry 1
         self._pivots = []  # pivot column per echelon row
-        self._combos = []  # echelon row k = sum_j combos[k][j] * member_j
+        self._combos = []  # echelon row k = sum_j combos[k][j] * member_j, j <= k
 
     def _reduce(self, vec):
         """vec = sum_k cs[k] * rows[k] + residual, with residual clear at
         every pivot column."""
+        if len(vec) != self.width:
+            raise ValueError(f"expected width {self.width}, got {len(vec)}")
         v = [x % self.p for x in vec]
         cs = []
         for row, piv in zip(self._rows, self._pivots):
             c = v[piv]
             cs.append(c)
             if c:
-                for j in range(self.width):
+                for j in range(piv, self.width):
                     if row[j]:
                         v[j] = (v[j] - c * row[j]) % self.p
         return cs, v
 
-    def coordinates(self, vec):
-        """Coordinates of vec over the members, or None if independent."""
-        if len(vec) != self.width:
-            raise ValueError(f"expected width {self.width}, got {len(vec)}")
-        cs, residual = self._reduce(vec)
-        if any(residual):
-            return None
+    def _combine(self, cs):
+        """sum_k cs[k] * combos[k]: the member coordinates of
+        sum_k cs[k] * rows[k]."""
         out = [0] * self.size
         for c, combo in zip(cs, self._combos):
             if c:
@@ -53,46 +60,33 @@ class SpanTracker:
                         out[j] = (out[j] + c * w) % self.p
         return tuple(out)
 
-    def append(self, vec) -> int:
-        """Add an independent vector as the next member; returns its index."""
+    def coordinates(self, vec):
+        """Coordinates of vec over the members, or None if independent."""
         cs, residual = self._reduce(vec)
-        if not any(residual):
-            raise ValueError("vector already lies in the span")
-        for combo in self._combos:
-            combo.append(0)
-        piv = next(j for j, x in enumerate(residual) if x)
+        return None if any(residual) else self._combine(cs)
+
+    def append(self, vec):
+        """Coordinates of vec over the members if it lies in their span;
+        otherwise vec becomes the next member and the result is None."""
+        cs, residual = self._reduce(vec)
+        piv = next((j for j, x in enumerate(residual) if x), None)
+        if piv is None:
+            return self._combine(cs)
+        # the new row is lead_inv * (vec - sum_k cs[k] * rows[k]), so its
+        # combo is lead_inv * (e_new - sum_k cs[k] * combos[k])
         lead_inv = pow(residual[piv], self.p - 2, self.p)
-        row = [(x * lead_inv) % self.p for x in residual]
-        combo = [0] * (self.size + 1)
-        combo[self.size] = 1
-        for c, cb in zip(cs, self._combos):
-            if c:
-                for j, w in enumerate(cb):
-                    combo[j] = (combo[j] - c * w) % self.p
-        combo = [(w * lead_inv) % self.p for w in combo]
-        # keep existing rows clear at the new pivot column
-        for k in range(len(self._rows)):
-            fac = self._rows[k][piv]
-            if fac:
-                self._rows[k] = [
-                    (a - fac * b) % self.p for a, b in zip(self._rows[k], row)
-                ]
-                self._combos[k] = [
-                    (a - fac * b) % self.p for a, b in zip(self._combos[k], combo)
-                ]
-        self._rows.append(row)
+        self._rows.append([x * lead_inv % self.p for x in residual])
         self._pivots.append(piv)
-        self._combos.append(combo)
+        self._combos.append([-w * lead_inv % self.p for w in self._combine(cs)] + [lead_inv])
         self.size += 1
-        return self.size - 1
+        return None
 
 
 def rank(vectors, p: int, width: int) -> int:
     """Rank of the given vectors over F_p."""
     tracker = SpanTracker(p, width)
     for v in vectors:
-        if tracker.coordinates(v) is None:
-            tracker.append(v)
+        tracker.append(v)
     return tracker.size
 
 
@@ -108,10 +102,8 @@ def nullspace_basis(rows, p: int, ncols: int):
     members = []  # column index of each tracker member
     basis = []
     for c in range(ncols):
-        col = [row[c] for row in rows]
-        coords = tracker.coordinates(col)
+        coords = tracker.append([row[c] for row in rows])
         if coords is None:
-            tracker.append(col)
             members.append(c)
             continue
         v = [0] * ncols

@@ -18,6 +18,7 @@ from christol import (
     parse_bivariate,
     verify_annihilation,
 )
+from christol import algebraic_series
 from christol.algebraic_series import _expand_newton
 from christol.examples import central_binomial_spec, shipped_specs, thue_morse_spec
 from support import (
@@ -150,6 +151,27 @@ def test_expand_unique_root_needs_no_seed():
     spec = BranchSpec(parse_bivariate("(1+x)*y + 1", 2))
     f = expand_branch(spec, 16)
     assert f.coeffs == (1,) * 16
+
+
+def test_unseeded_expansion_scans_the_residues_once(monkeypatch):
+    scans = []
+    roots_at_origin = algebraic_series._roots_at_origin
+
+    def counting(q):
+        scans.append(q.p)
+        return roots_at_origin(q)
+
+    monkeypatch.setattr(algebraic_series, "_roots_at_origin", counting)
+    for p, text in ((2, "(1+x)*y + 1"), (7, "(1+x)*y^3 + y + 3"), (65521, "(1+x)*y + 65520")):
+        scans.clear()
+        f = expand_branch(BranchSpec(parse_bivariate(text, p)), 64)
+        assert verify_annihilation(parse_bivariate(text, p), f)
+        assert scans == [p]
+    # a root of singular slope the empty seed cannot pin down
+    scans.clear()
+    with pytest.raises(AmbiguousBranch):
+        expand_branch(BranchSpec(parse_bivariate("y^2 + x*y + x^3", 3)), 8)
+    assert scans == [3]
 
 
 def test_seed_disambiguation_errors():

@@ -137,6 +137,46 @@ def test_minimize_canonical_numbering():
     assert minimize(a) == minimize(permuted)
 
 
+def _outputs(a, s, depth):
+    """Outputs of state s on every digit string of length <= depth,
+    shortest first, in a fixed order of the strings."""
+    out, layer = [], [s]
+    for _ in range(depth + 1):
+        out.extend(a.tau[t] for t in layer)
+        layer = [t for u in layer for t in a.delta[u]]
+    return tuple(out)
+
+
+def test_minimize_ignores_unreachable_padding_and_numbering():
+    rng = random.Random(8128)
+    for _ in range(60):
+        p, n, extra = rng.choice((2, 3)), rng.randrange(1, 7), rng.randrange(5)
+        a = Dfao(
+            p=p,
+            start=rng.randrange(n),
+            delta=tuple(tuple(rng.randrange(n) for _ in range(p)) for _ in range(n)),
+            tau=tuple(rng.randrange(p) for _ in range(n)),
+        )
+        # padding states may point anywhere; nothing in a points to them
+        total = n + extra
+        rows = a.delta + tuple(tuple(rng.randrange(total) for _ in range(p)) for _ in range(extra))
+        taus = a.tau + tuple(rng.randrange(p) for _ in range(extra))
+        new = list(range(total))
+        rng.shuffle(new)
+        old = sorted(range(total), key=new.__getitem__)
+        padded = Dfao(
+            p=p,
+            start=new[a.start],
+            delta=tuple(tuple(new[t] for t in rows[s]) for s in old),
+            tau=tuple(taus[s] for s in old),
+        )
+        b = minimize(padded)
+        assert b == minimize(a)
+        # no two equivalent states: n states differ on a string of length < n
+        assert len({_outputs(b, s, b.n_states) for s in range(b.n_states)}) == b.n_states
+        assert _outputs(b, b.start, 8) == _outputs(padded, padded.start, 8)
+
+
 def test_to_digits_lsd():
     assert to_digits_lsd("6", 2) == [0, 1, 1]
     assert to_digits_lsd("7", 2) == [1, 1, 1]

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from christol import algebraize, expand_branch, guess_polynomial
+from christol import algebraize, expand_branch, guess_polynomial, orbit_closure
 from christol.errors import NoRelationFound
-from christol.examples import shipped_specs
+from christol.examples import shipped_specs, thue_morse_spec
 from christol.linalg import SpanTracker, nullspace_basis, rank
 from support import rref_nullspace_basis
 
@@ -21,13 +21,23 @@ def test_tracker_membership_and_coordinates():
     assert t.coordinates((0, 0, 1)) is None
 
 
-def test_tracker_rejects_dependent_append_and_bad_width():
+def test_tracker_append_decides_and_adopts():
     t = SpanTracker(3, 2)
-    t.append((1, 1))
+    assert t.append((1, 1)) is None
+    assert t.size == 1
+    # a dependent vector returns its coordinates and does not join
+    assert t.append((2, 2)) == (2,)
+    assert t.append((0, 0)) == (0,)
+    assert t.size == 1
+    assert t.append((0, 1)) is None
+    assert t.size == 2
+    assert t.append((1, 2)) == (1, 1)
+    assert t.size == 2
     with pytest.raises(ValueError):
-        t.append((2, 2))
+        t.append((1, 1, 1))
     with pytest.raises(ValueError):
         t.coordinates((1, 1, 1))
+    assert t.size == 2
 
 
 def test_tracker_coordinates_reproduce_vector():
@@ -49,11 +59,43 @@ def test_tracker_coordinates_reproduce_vector():
             )
             coords = t.coordinates(combo)
             assert coords is not None
+            assert t.append(combo) == coords
+            assert t.size == 4
             rebuilt = tuple(
                 sum(c * m[j] for c, m in zip(coords, members)) % p
                 for j in range(width)
             )
             assert rebuilt == combo
+
+
+def test_each_append_reduces_its_vector_once(monkeypatch):
+    reduce, append = SpanTracker._reduce, SpanTracker.append
+    reductions, per_append = [], []
+
+    def counting_reduce(self, vec):
+        reductions.append(vec)
+        return reduce(self, vec)
+
+    def counting_append(self, vec):
+        before = len(reductions)
+        out = append(self, vec)
+        per_append.append(len(reductions) - before)
+        return out
+
+    monkeypatch.setattr(SpanTracker, "_reduce", counting_reduce)
+    monkeypatch.setattr(SpanTracker, "append", counting_append)
+    # one tracker call per truncated section: the root, then p per basis element
+    rep = orbit_closure(thue_morse_spec())
+    assert rep.m > 1
+    assert per_append == [1] * (1 + rep.p * rep.m)
+    assert len(reductions) == len(per_append)
+    # one tracker call per column
+    reductions.clear()
+    per_append.clear()
+    rows = dependent_matrix(random.Random(5), 7, 40, 12)
+    assert nullspace_basis(rows, 7, 12) == rref_nullspace_basis(rows, 7, 12)
+    assert per_append == [1] * 12
+    assert len(reductions) == 12
 
 
 def test_rank():
