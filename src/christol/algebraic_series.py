@@ -343,9 +343,58 @@ def _value_at_origin(q: BivariatePolynomial, c: int) -> int:
     return acc
 
 
-def _roots_at_origin(q: BivariatePolynomial):
-    """Residues c with Q(0, c) = 0, by direct evaluation."""
-    return [c for c in range(q.p) if not _value_at_origin(q, c)]
+def _trim(a: list) -> list:
+    """a without its trailing zeros, trimmed in place."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _monic(a, p: int) -> list:
+    """a scaled to leading coefficient 1; a is nonzero and trimmed."""
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _rem(a, g, p: int) -> list:
+    """a mod the monic g, trimmed; coefficient lists low order first."""
+    a, d = list(a), len(g) - 1
+    for k in range(len(a) - 1, d - 1, -1):
+        c = a[k]
+        if c:
+            for t in range(d + 1):
+                a[k - d + t] = (a[k - d + t] - c * g[t]) % p
+    return _trim(a[:d])
+
+
+def _mulmod(a, b, g, p: int) -> list:
+    """a * b mod the monic g."""
+    return _rem(cauchy_product(a, b, p, len(a) + len(b) - 1), g, p)
+
+
+def _root_product_at_origin(q: BivariatePolynomial):
+    """gcd(Q(0, y), y^p - y), monic and low order first: the product of
+    y - c over the distinct roots c in F_p of Q(0, y), so its degree
+    counts them.  y^p is reduced modulo Q(0, y) by repeated squaring, in
+    time polynomial in deg_y Q and log p.  None when Q(0, y) = 0, where
+    every residue is a root."""
+    p, g = q.p, _trim(list(q.coeffs[0]))
+    if not g:
+        return None
+    g = _monic(g, p)
+    y = _rem([0, 1], g, p)
+    power = y
+    for bit in bin(p)[3:]:
+        power = _mulmod(power, power, g, p)
+        if bit == "1":
+            power = _mulmod(power, y, g, p)
+    b = power + [0] * (2 - len(power))
+    b[1] = (b[1] - 1) % p  # y^p - y
+    a, b = g, _rem(b, g, p)
+    while b:
+        b = _monic(b, p)
+        a, b = b, _rem(a, b, p)
+    return a
 
 
 def _start_coefficient(q: BivariatePolynomial, seed) -> int:
@@ -353,12 +402,12 @@ def _start_coefficient(q: BivariatePolynomial, seed) -> int:
         if _value_at_origin(q, seed[0]):
             raise NoBranch(0)
         return seed[0]
-    roots = _roots_at_origin(q)
-    if not roots:
-        raise NoBranch(0)
-    if len(roots) > 1:
+    h = _root_product_at_origin(q)
+    if h is None or len(h) > 2:
         raise AmbiguousBranch(0)
-    return roots[0]
+    if len(h) == 1:
+        raise NoBranch(0)
+    return -h[0] % q.p
 
 
 def _expand_newton(q: BivariatePolynomial, seed, n: int) -> TruncatedSeries:

@@ -4,16 +4,18 @@ automatic_to_series() tabulates a machine's outputs as a truncated
 series.  guess_polynomial() then searches for a nonzero Q(x, y) of
 bounded degree with Q(x, f) = 0 mod x^N: each product x^i * f^j is one
 column of an evaluation matrix, and any kernel vector is a candidate
-relation.  The answer is certified exactly as far as the input reaches
-(the returned Q annihilates the given truncation; more coefficients give
-a stronger certificate, never a different normalized Q).
+relation.  The kernel is solved on a few rows, O(k) for k columns, and
+the candidate is then checked against the whole input, so the answer is
+certified exactly as far as the input reaches (the returned Q
+annihilates the given truncation; more coefficients give a stronger
+certificate, never a different normalized Q).
 """
 
 from .algebraic_series import BivariatePolynomial, verify_annihilation
 from .automaton import query
 from .errors import NoRelationFound
 from .linalg import nullspace_basis
-from .power_series import TruncatedSeries
+from .power_series import TruncatedSeries, cauchy_product
 
 
 def automatic_to_series(machine, n: int) -> TruncatedSeries:
@@ -33,40 +35,49 @@ def guess_polynomial(f: TruncatedSeries, dx: int, dy: int) -> BivariatePolynomia
     enough rows that the kernel is cut out by a comfortable margin of
     equations beyond the unknown count.  Raises NoRelationFound when the
     evaluation matrix has full column rank.
+
+    The relation is found on the first r = 2k+8 rows, k = (dx+1)*(dy+1)
+    the number of columns, and certified on all of them; r doubles until
+    the certificate holds.  The result is still the first reduced row
+    echelon kernel vector of the whole matrix: the columns before its
+    free column are independent on r rows, hence on all rows, so a vector
+    that passes the full check is the unique dependency of that column
+    on them.  A sub-system with no kernel settles NoRelationFound, since
+    more rows only shrink the kernel.
     """
     if dx < 0 or dy < 1:
         raise ValueError(f"degree bounds must have dx >= 0 and dy >= 1, got ({dx}, {dy})")
-    needed = (dx + 1) * (dy + 1) + dx + dy
+    k = (dx + 1) * (dy + 1)
+    needed = k + dx + dy
     n = f.precision
     if n < needed:
         raise ValueError(
             f"series precision {n} too small for bounds ({dx}, {dy}); need {needed}"
         )
     p = f.p
-
-    # column (j, i) holds the coefficients of x^i * f^j
-    powers = [TruncatedSeries(p, (1,) + (0,) * (n - 1))]
-    for _ in range(dy):
-        powers.append(powers[-1] * f)
-    columns = []
-    for j in range(dy + 1):
-        base = powers[j].coeffs
-        for i in range(dx + 1):
-            columns.append((0,) * i + base[: n - i])
-    rows = [[col[r] for col in columns] for r in range(n)]
-
-    kernel = nullspace_basis(rows, p, len(columns))
-    if not kernel:
-        raise NoRelationFound(f"no relation within degree bounds ({dx}, {dy})")
-    vec = kernel[0]
-    lead = next(v for v in vec if v)
-    inv = pow(lead, p - 2, p)
-    terms = {}
-    for idx, v in enumerate(vec):
-        if v:
-            j, i = divmod(idx, dx + 1)
-            terms[(i, j)] = v * inv % p
-    q = BivariatePolynomial.from_dict(p, terms)
-    if not verify_annihilation(q, f):  # pragma: no cover - kernel vectors annihilate
-        raise RuntimeError("kernel vector failed verification; linear algebra is broken")
-    return q
+    r = min(n, 2 * k + 8)
+    while True:
+        # column (j, i) holds the first r coefficients of x^i * f^j
+        power = (1,) + (0,) * (r - 1)
+        columns = []
+        for j in range(dy + 1):
+            if j:
+                power = cauchy_product(power, f.coeffs, p, r)
+            columns += [(0,) * i + power[: r - i] for i in range(dx + 1)]
+        kernel = nullspace_basis(list(zip(*columns)), p, k)
+        if not kernel:
+            raise NoRelationFound(f"no relation within degree bounds ({dx}, {dy})")
+        vec = kernel[0]
+        lead = next(v for v in vec if v)
+        inv = pow(lead, p - 2, p)
+        terms = {}
+        for idx, v in enumerate(vec):
+            if v:
+                j, i = divmod(idx, dx + 1)
+                terms[(i, j)] = v * inv % p
+        q = BivariatePolynomial.from_dict(p, terms)
+        if verify_annihilation(q, f):
+            return q
+        if r == n:  # pragma: no cover - a kernel vector of all rows annihilates
+            raise RuntimeError("kernel vector failed verification; linear algebra is broken")
+        r = min(2 * r, n)

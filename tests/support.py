@@ -8,7 +8,14 @@ binomials from math.comb, so a library bug cannot vouch for itself.
 import math
 import random
 
-from christol import AmbiguousBranch, BivariatePolynomial, BranchSpec, NoBranch, TruncatedSeries
+from christol import (
+    AmbiguousBranch,
+    BivariatePolynomial,
+    BranchSpec,
+    NoBranch,
+    NoRelationFound,
+    TruncatedSeries,
+)
 from christol.algebraic_series import _start_coefficient
 
 
@@ -203,6 +210,26 @@ def rref_nullspace_basis(rows, p: int, ncols: int):
             v[c] = (-mat[row_idx][free]) % p
         basis.append(tuple(v))
     return basis
+
+
+def full_matrix_guess(f: TruncatedSeries, dx: int, dy: int) -> BivariatePolynomial:
+    """guess_polynomial() as it was before it solved on a few rows: the
+    first reduced row echelon kernel vector of the whole N x k matrix of
+    columns x^i * f^j, by rref_nullspace_basis(), normalized so its
+    first nonzero coefficient in (j, i) order is 1.  Raises
+    NoRelationFound on full column rank.  A reference only."""
+    p, n = f.p, f.precision
+    powers = [[1] + [0] * (n - 1)]
+    for _ in range(dy):
+        prev = powers[-1]
+        powers.append([sum(prev[a] * f.coeffs[k - a] for a in range(k + 1)) % p for k in range(n)])
+    columns = [[0] * i + powers[j][: n - i] for j in range(dy + 1) for i in range(dx + 1)]
+    kernel = rref_nullspace_basis([[col[r] for col in columns] for r in range(n)], p, len(columns))
+    if not kernel:
+        raise NoRelationFound(f"no relation within degree bounds ({dx}, {dy})")
+    inv = pow(next(v for v in kernel[0] if v), p - 2, p)
+    terms = {(idx % (dx + 1), idx // (dx + 1)): v * inv % p for idx, v in enumerate(kernel[0]) if v}
+    return BivariatePolynomial.from_dict(p, terms)
 
 
 def _hasse_rows(q: BivariatePolynomial, a0: int, n: int):

@@ -154,14 +154,15 @@ def test_expand_unique_root_needs_no_seed():
 
 
 def test_unseeded_expansion_scans_the_residues_once(monkeypatch):
+    # the root search at the origin runs once per unseeded expansion
     scans = []
-    roots_at_origin = algebraic_series._roots_at_origin
+    root_product_at_origin = algebraic_series._root_product_at_origin
 
     def counting(q):
         scans.append(q.p)
-        return roots_at_origin(q)
+        return root_product_at_origin(q)
 
-    monkeypatch.setattr(algebraic_series, "_roots_at_origin", counting)
+    monkeypatch.setattr(algebraic_series, "_root_product_at_origin", counting)
     for p, text in ((2, "(1+x)*y + 1"), (7, "(1+x)*y^3 + y + 3"), (65521, "(1+x)*y + 65520")):
         scans.clear()
         f = expand_branch(BranchSpec(parse_bivariate(text, p)), 64)
@@ -172,6 +173,56 @@ def test_unseeded_expansion_scans_the_residues_once(monkeypatch):
     with pytest.raises(AmbiguousBranch):
         expand_branch(BranchSpec(parse_bivariate("y^2 + x*y + x^3", 3)), 8)
     assert scans == [3]
+
+
+def test_roots_at_origin_match_a_residue_scan():
+    rng = random.Random(20)
+    cases = 0
+    for p in (2, 3, 5, 7, 11):
+        for _ in range(150):
+            dy = rng.randint(1, 5)
+            row = [rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(dy + 1)]
+            if rng.random() < 0.2:  # a product of linear factors, often repeated
+                row = [1]
+                for _ in range(dy):
+                    c = rng.randrange(p)
+                    row = [(u - c * v) % p for u, v in zip([0] + row, row + [0])]
+            q = BivariatePolynomial(p, [row, [0] * dy + [1]])
+            roots = [c for c in range(p) if sum(a * c**j for j, a in enumerate(row)) % p == 0]
+            h = algebraic_series._root_product_at_origin(q)
+            if not any(row):
+                assert h is None
+                assert len(roots) == p
+            else:
+                assert len(h) - 1 == len(roots)
+                assert h[-1] == 1
+            if len(roots) == 1:
+                assert -h[0] % p == roots[0]
+                assert algebraic_series._start_coefficient(q, ()) == roots[0]
+            else:
+                with pytest.raises(NoBranch if not roots else AmbiguousBranch) as info:
+                    algebraic_series._start_coefficient(q, ())
+                assert info.value.index == 0
+            cases += 1
+    assert cases == 750
+
+
+def test_roots_at_origin_evaluate_no_residue(monkeypatch):
+    evaluations = []
+    value_at_origin = algebraic_series._value_at_origin
+
+    def counting(q, c):
+        evaluations.append(c)
+        return value_at_origin(q, c)
+
+    monkeypatch.setattr(algebraic_series, "_value_at_origin", counting)
+    q = parse_bivariate("(1+x)*y + 65520", 65521)
+    f = expand_branch(BranchSpec(q), 64)
+    assert f.coeffs[0] == 1
+    assert verify_annihilation(q, f)
+    # one evaluation, at the root found, when _expand_newton checks it
+    # as its seed; a residue scan would make 65521 more
+    assert evaluations == [1]
 
 
 def test_seed_disambiguation_errors():

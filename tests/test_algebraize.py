@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from christol import (
@@ -13,7 +15,9 @@ from christol import (
     parse_bivariate,
     verify_annihilation,
 )
+from christol import algebraize
 from christol.examples import all_ones_spec, central_binomial_spec, shipped_specs, thue_morse_spec
+from support import full_matrix_guess
 
 
 def normalized(q):
@@ -112,3 +116,91 @@ def test_guess_prefers_low_y_degree_relations():
     q = guess_polynomial(f, 2, 2)
     assert verify_annihilation(q, TruncatedSeries(2, (1,) * 60))
     assert q == normalized(q)
+
+
+def outcome(guess, f, dx, dy):
+    """The Q a guess returns, or NoRelationFound."""
+    try:
+        return guess(f, dx, dy)
+    except NoRelationFound:
+        return NoRelationFound
+
+
+@pytest.fixture
+def row_counts(monkeypatch):
+    """Row count of every nullspace_basis call guess_polynomial makes."""
+    counts = []
+    nullspace_basis = algebraize.nullspace_basis
+
+    def counting(rows, p, ncols):
+        counts.append(len(rows))
+        return nullspace_basis(rows, p, ncols)
+
+    monkeypatch.setattr(algebraize, "nullspace_basis", counting)
+    return counts
+
+
+def test_guess_matches_the_full_matrix_reference(row_counts):
+    rng = random.Random(8)
+    outcomes = []  # (doubled, found a relation) per case
+    for p in (2, 3, 5, 7, 65521):
+        for n in (16, 40, 100, 300):
+            for kind in ("noise", "zero prefix", "recurrence"):
+                for _ in range(4):
+                    dx, dy = rng.randint(0, 3), rng.randint(1, 2)
+                    if kind == "noise":
+                        coeffs = [rng.randrange(p) for _ in range(n)]
+                    elif kind == "zero prefix":
+                        zeros = rng.randrange(n // 2, n)
+                        coeffs = [0] * zeros + [rng.randrange(p) for _ in range(n - zeros)]
+                    else:
+                        denom = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(rng.randint(0, 4))]
+                        numer = [rng.randrange(p) for _ in range(rng.randint(1, 4))]
+                        coeffs = expand_rational(p, numer, denom, n).coeffs
+                    f = TruncatedSeries(p, coeffs)
+                    if n < (dx + 1) * (dy + 1) + dx + dy:
+                        with pytest.raises(ValueError):
+                            guess_polynomial(f, dx, dy)
+                        continue
+                    row_counts.clear()
+                    expect = outcome(full_matrix_guess, f, dx, dy)
+                    assert outcome(guess_polynomial, f, dx, dy) == expect, (p, n, kind, dx, dy)
+                    k = (dx + 1) * (dy + 1)
+                    assert row_counts[0] == min(n, 2 * k + 8)
+                    outcomes.append((len(row_counts) > 1, expect is not NoRelationFound))
+    # every outcome is exercised: with and without doubling, each ending
+    # at a relation or at NoRelationFound
+    assert len(outcomes) > 200
+    for kind in ((False, False), (False, True), (True, False), (True, True)):
+        assert outcomes.count(kind) > 10, kind
+
+
+def test_guess_doubles_the_rows_until_certified(row_counts):
+    # zeros up to x^100: the first free column on 16, 32 and 64 rows is
+    # f itself, Q = y, which fails on all rows; 128 rows see the noise
+    rng = random.Random(9)
+    f = TruncatedSeries(7, [0] * 100 + [1] + [rng.randrange(7) for _ in range(59)])
+    expect = outcome(full_matrix_guess, f, 1, 1)
+    assert expect is NoRelationFound
+    assert outcome(guess_polynomial, f, 1, 1) == expect
+    assert row_counts == [16, 32, 64, 128]
+    # zeros up to x^70 at 140 terms: Q = y fails on all rows, and on 80
+    # rows f^2 is the first free column; Q = y^2 holds since 2*70 >= 140
+    f = TruncatedSeries(7, [0] * 70 + [1] + [rng.randrange(7) for _ in range(69)])
+    row_counts.clear()
+    assert guess_polynomial(f, 1, 2) == full_matrix_guess(f, 1, 2) == parse_bivariate("y^2", 7)
+    assert row_counts == [20, 40, 80]
+
+
+def test_guess_solves_on_2k_plus_8_rows(row_counts):
+    f = expand_branch(thue_morse_spec(), 4096)
+    assert guess_polynomial(f, 3, 2) == thue_morse_spec().q
+    assert row_counts == [2 * 12 + 8]
+
+
+def test_guess_on_full_rank_stops_at_the_first_subsystem(row_counts):
+    rng = random.Random(10)
+    f = TruncatedSeries(65521, [rng.randrange(65521) for _ in range(300)])
+    with pytest.raises(NoRelationFound):
+        guess_polynomial(f, 1, 1)
+    assert row_counts == [16]
