@@ -52,6 +52,7 @@ from .kernel import (
     PathExpander,
     alpha_output,
     alpha_step,
+    exact_representation,
     orbit_closure,
     recheck,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "dfao_from_linear",
     "dfao_to_json",
     "ensure_prime",
+    "exact_representation",
     "expand_branch",
     "expand_rational",
     "export_dot",

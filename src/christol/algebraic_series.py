@@ -465,16 +465,18 @@ def _shift(q: BivariatePolynomial, head, v: int) -> BivariatePolynomial:
     )
 
 
-def _expand_singular(q: BivariatePolynomial, seed, n: int) -> TruncatedSeries:
-    """Expansion of a root through a0 = seed[0] where Qy(0, a0) = 0.
+def _shift_past_seed(q: BivariatePolynomial, seed, n: int):
+    """The seed checks of a root through a0 = seed[0] where Qy(0, a0) = 0,
+    then the shift that gives it unit slope.
 
     With Qy(0, a0) = 0 the coefficient of x^k in Q(x, s) does not depend
-    on s beyond index k-1, so the seed is checked index by index first.
-    If Qy has valuation v along the seed, the shift y = s + x^(v+1)*z
-    (Kung and Traub, J. ACM 1978) turns the root into one of unit slope,
-    which Newton expands; that needs the seed to run one coefficient
-    past v.  A shorter seed, or an inseparable Q, leaves the next
-    coefficient undetermined or impossible.
+    on s beyond index k-1, so the seed is checked index by index below
+    min(n, len(seed)) first; None when that already covers n.  If Qy has
+    valuation v along the seed, the shift y = s + x^(v+1)*z (Kung and
+    Traub, J. ACM 1978) turns the root into one of unit slope; that needs
+    the seed to run one coefficient past v.  A shorter seed, or an
+    inseparable Q, leaves the next coefficient undetermined or
+    impossible.  Returns the head s = seed[:v+1] and the shifted Q.
     """
     p, size = q.p, len(seed)
     s = TruncatedSeries._of(p, seed + (0,))
@@ -483,17 +485,28 @@ def _expand_singular(q: BivariatePolynomial, seed, n: int) -> TruncatedSeries:
         if value[k]:
             raise NoBranch(k)
     if n <= size:
-        return TruncatedSeries._of(p, seed[:n])
+        return None
     slope = q.evaluate_dy(s).coeffs[:size]
     v = next((k for k, c in enumerate(slope) if c), size)
     if v == size:
         raise (NoBranch if value[size] else AmbiguousBranch)(size)
     head = seed[: v + 1]
-    f = head + _expand_newton(_shift(q, head, v), (), n - v - 1).coeffs
-    for k in range(v + 1, size):
+    return head, _shift(q, head, v)
+
+
+def _expand_singular(q: BivariatePolynomial, seed, n: int) -> TruncatedSeries:
+    """Expansion of a root through a0 = seed[0] where Qy(0, a0) = 0: the
+    seed checks and shift of _shift_past_seed(), then Newton on the
+    shifted polynomial, whose root continues the head."""
+    shifted = _shift_past_seed(q, seed, n)
+    if shifted is None:
+        return TruncatedSeries._of(q.p, seed[:n])
+    head, qt = shifted
+    f = head + _expand_newton(qt, (), n - len(head)).coeffs
+    for k in range(len(head), len(seed)):
         if f[k] != seed[k]:
             raise NoBranch(k)
-    return TruncatedSeries._of(p, f)
+    return TruncatedSeries._of(q.p, f)
 
 
 def expand_branch(spec: BranchSpec, n: int) -> TruncatedSeries:

@@ -6,20 +6,22 @@ is the n-th coefficient of an algebraic series.  Two constructions are
 provided and deliberately kept independent of each other:
 
   * dfao_from_linear() walks the reachable row vectors of a
-    KernelRepresentation; the CLI builds every machine this way, from a
-    closure that has passed recheck();
+    KernelRepresentation; the CLI builds every machine this way, from
+    the exact representation of kernel.exact_representation();
   * build_dfao() walks the orbit of the series under sections, one state
     per distinct truncated series; it is kept only as an independent
     oracle for the tests, acceptance criterion 5 and the selftest.
 
-With a basis independent at n_eq, distinct row vectors are distinct
-truncated sections, and both walks are breadth-first with digits
-ascending, so the two machines agree state for state.  The linear one is
-minimal for any closure, rechecked or not, so the CLI never calls
-minimize(): as section_d(z) = M[d] z mod x^n_eq for the basis series z,
-state alpha outputs [x^n](alpha . z) on the digits of every n < n_eq, so
-distinct states differ at some n; all are reachable, and minimize() too
-numbers breadth-first with digits ascending.
+The linear machine of a minimal representation is minimal, so the CLI
+never calls minimize(): the representation is observable, so distinct
+row vectors differ in their output after some digit string, all states
+are reachable, and minimize() too numbers breadth-first with digits
+ascending.  The same holds for a closure whose basis is independent at
+n_eq: as section_d(z) = M[d] z mod x^n_eq for the basis series z, state
+alpha outputs [x^n](alpha . z) on the digits of every n < n_eq, so
+distinct states differ at some n.  Both walks are breadth-first with
+digits ascending, so on a correct closure the linear machine and the
+orbit machine agree state for state.
 
 Least-significant-first digit order makes trailing zeros of the input
 harmless by construction: delta(s, 0) fixes tau, so "6", "06" and "0006"

@@ -28,7 +28,7 @@ from .examples import (
     thue_morse_oracle,
     thue_morse_spec,
 )
-from .kernel import ClosureConfig, orbit_closure, recheck
+from .kernel import ClosureConfig, exact_representation, orbit_closure, recheck
 from .power_series import parse_series
 from .weeding import weed
 
@@ -68,11 +68,8 @@ def _cmd_weed(args: argparse.Namespace) -> int:
 
 def _cmd_automaton(args: argparse.Namespace) -> int:
     spec = _branch_spec(args)
-    rep = orbit_closure(spec, ClosureConfig(n_eq=args.n_eq, max_states=args.max_states))
-    if not recheck(rep, spec, 2):
-        raise ChristolError(f"the section closure at n_eq={args.n_eq} fails recheck at "
-                            "doubled precision; raise --n-eq")
-    machine = dfao_from_linear(rep, args.max_states)
+    cfg = ClosureConfig(n_eq=args.n_eq, max_states=args.max_states)  # validates both flags
+    machine = dfao_from_linear(exact_representation(spec, cfg.max_states), cfg.max_states)
     with open(args.out, "w") as fh:
         fh.write(dfao_to_json(machine) + "\n")
     if args.dot:
@@ -99,10 +96,11 @@ def _cmd_algebraize(args: argparse.Namespace) -> int:
 
 
 def _selftest_suite(name, spec, oracle, limit, expect_states, to_base):
+    """The production machine of spec against the orbit oracles."""
     lines = []
     rep = orbit_closure(spec)
-    machine = dfao_from_linear(rep)
-    ok = machine == minimize(build_dfao(spec))
+    machine = dfao_from_linear(exact_representation(spec))
+    ok = machine == minimize(build_dfao(spec)) and machine == dfao_from_linear(rep)
     lines.append(f"{name}: minimized flavors agree with {machine.n_states} states: "
                  f"{'ok' if ok else 'FAIL'}")
     if machine.n_states != expect_states:
@@ -187,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output path for dfao-v1 JSON")
     sp.add_argument("--dot", default="", help="optional Graphviz output path")
     sp.add_argument("--n-eq", type=int, default=64,
-                    help="comparison precision; a closure failing recheck at twice it exits 1")
+                    help="accepted; the construction is exact")
     sp.add_argument("--max-states", type=int, default=4096,
                     help="cap on the basis dimension and on the reachable vectors")
 

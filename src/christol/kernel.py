@@ -1,36 +1,55 @@
-"""Finite section closure of an algebraic series and its linear machine.
+"""Linear machines for the coefficients of an algebraic series.
 
-Iterated sections of an algebraic series span a finite-dimensional space
-over F_p.  orbit_closure() finds a basis of that space by breadth-first
-search: starting from the series itself, apply every section, keep the
+A linear representation of a series f over F_p is a start row vector
+alpha0, one matrix M[d] per base-p digit and an output vector b0:
+feeding the digits of n, least significant first, through
+alpha <- alpha * M[d] and reading off alpha . b0 yields the n-th
+coefficient of f.  Two constructions build one.
+
+exact_representation() is the production route.  By the section
+formula of Bostan, Caruso, Christol and Dumas (ANTS XIII, 2018), the
+sections of A(x, f)/Qy(x, f) are again of that form, with A in a
+finite space of polynomials bounded by the degrees of Q: the proof of
+Christol's theorem made finite.  The representation on that space is
+exact at every index; reduced to its reachable and observable part it
+is minimal.  No root is expanded and nothing is truncated.
+
+orbit_closure() is kept as an independent oracle.  Iterated sections
+of an algebraic series span a finite-dimensional space over F_p; it
+finds a basis of that space by breadth-first search over truncated
+series: starting from the series itself, apply every section, keep the
 results that are linearly independent of what came before, and record
-the coordinates of the rest.  The per-digit coordinate matrices turn
-coefficient lookup into linear algebra: feeding the base-p digits of n,
-least significant first, through alpha <- alpha * M[digit] and reading
-off alpha . b0 yields the n-th coefficient.
-
-All comparisons happen at a fixed truncation precision n_eq.  That makes
-the closure a certificate at precision n_eq, not a proof; recheck()
-re-derives every stored relation at a strictly larger precision to catch
-truncation accidents.
-
+the coordinates of the rest.  All comparisons happen at a fixed
+truncation precision n_eq.  That makes the closure a certificate at
+precision n_eq, not a proof; recheck() re-derives every stored
+relation at a strictly larger precision to catch truncation accidents.
 Basis elements remember the digit path that produced them, so any of
 them can be recomputed from the defining polynomial at any precision.
 """
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import mul
 from typing import NamedTuple
 
-from .algebraic_series import BranchSpec, expand_branch
-from .errors import ChristolError, DimensionMismatch, StateCapExceeded
+from .algebraic_series import (
+    BivariatePolynomial,
+    BranchSpec,
+    _shift_past_seed,
+    _start_coefficient,
+    expand_branch,
+)
+from .errors import ChristolError, DimensionMismatch, NoBranch, StateCapExceeded
 from .finite_field import FpElement
 from .linalg import SpanTracker
-from .power_series import TruncatedSeries
+from .power_series import TruncatedSeries, cauchy_product
 from .weeding import section
 
 DEFAULT_N_EQ = 64
 DEFAULT_MAX_STATES = 4096
+# exact_representation() refuses a Q whose power Q^(p-1) has more
+# coefficient cells than this: ((p-1)*dx + 1) * ((p-1)*dy + 1).
+MAX_POWER_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -84,15 +103,21 @@ class BasisElement(NamedTuple):
 
 @dataclass(frozen=True)
 class KernelRepresentation:
-    """Basis of the section closure plus the per-digit update matrices.
+    """A linear machine of dimension m: per-digit update matrices, the
+    start vector alpha0 and the output vector b0.  Row vectors update as
+    alpha <- alpha * M[d], and alpha . b0 is the output.
 
-    matrices[d][i][j] is the j-th coordinate of section(z_i, d) over the
-    basis z_1..z_m; row vectors update as alpha <- alpha * M[d].  b0
-    holds the constant terms of the basis, so alpha . b0 is the output.
-    alpha0 is e_1, the series itself being the first basis element,
-    unless the series is zero at n_eq: then the basis is empty, m = 0,
-    alpha0 = () and every output is 0.
-    Everything was verified at truncation precision n_eq.
+    From orbit_closure(), basis holds the BasisElement z_1..z_m of the
+    section closure, matrices[d][i][j] is the j-th coordinate of
+    section(z_i, d) over that basis, b0 holds the constant terms of the
+    basis, and alpha0 is e_1, the series itself being the first basis
+    element, unless the series is zero at n_eq: then the basis is empty,
+    m = 0, alpha0 = () and every output is 0.  Everything was verified
+    at truncation precision n_eq.
+
+    From exact_representation(), n_eq is None, basis holds digit
+    strings, and coordinate i of a state is its output after reading
+    basis[i]; see there.
     """
 
     p: int
@@ -100,7 +125,7 @@ class KernelRepresentation:
     matrices: tuple
     b0: tuple
     alpha0: tuple
-    n_eq: int
+    n_eq: int | None
 
     @property
     def m(self) -> int:
@@ -222,3 +247,167 @@ def recheck(rep: KernelRepresentation, spec: BranchSpec, factor: int = 2) -> boo
         if rep.alpha0[j]:
             combo = combo + zs[j].scale(rep.alpha0[j])
     return combo == root.truncate(big)
+
+
+def _packed_power(q: BivariatePolynomial, e: int, width: int) -> tuple:
+    """Q^e for e >= 1, with the coefficient of x^i y^j at i*width + j.
+
+    x -> t^width, y -> t is a ring map into F_p[t] that loses nothing
+    while every y-degree stays below width, so Q^e is a univariate power
+    by repeated squaring through cauchy_product()."""
+    base = [0] * (q.dx * width + q.dy + 1)
+    for i, row in enumerate(q.coeffs):
+        base[i * width : i * width + len(row)] = row
+    out = tuple(base)
+    for bit in bin(e)[3:]:
+        out = cauchy_product(out, out, q.p, 2 * len(out) - 1)
+        if bit == "1":
+            out = cauchy_product(out, base, q.p, len(out) + len(base) - 1)
+    return out
+
+
+def _apply(rows, col, p: int) -> tuple:
+    """rows * col, for rows of coordinates that may stop short of col."""
+    return tuple(sum(map(mul, row, col)) % p for row in rows)
+
+
+def _span_closure(p: int, first, images, max_states: int | None = None):
+    """Breadth-first closure of span(first) under p linear maps, digits
+    ascending; images(v) lists the images of v under maps 0..p-1.
+
+    Returns (members, paths, rows): the members kept, the maps that
+    take first to each (in the order applied), and rows[r][i], the
+    coordinates of the image of member i under map r over the members.
+    A zero first gives no members."""
+    tracker = SpanTracker(p, len(first))
+    members, paths = [], []
+    rows = [[] for _ in range(p)]
+
+    def adopt(vec, path):
+        coords = tracker.append(vec)
+        if coords is None:
+            if max_states is not None and len(members) >= max_states:
+                raise StateCapExceeded(f"section closure exceeds {max_states} basis elements")
+            members.append(vec)
+            paths.append(path)
+            coords = (0,) * (len(members) - 1) + (1,)
+        return coords
+
+    adopt(first, ())
+    i = 0
+    while i < len(members):
+        for r, image in enumerate(images(members[i])):
+            rows[r].append(adopt(image, paths[i] + (r,)))
+        i += 1
+    return members, paths, rows
+
+
+def exact_representation(spec: BranchSpec, max_states: int = DEFAULT_MAX_STATES) -> KernelRepresentation:
+    """Minimal linear representation of the root of spec, exact at every
+    index: no root expansion, no truncation, no recheck.
+
+    The section formula: for a root f of Q with Qy(0, f(0)) != 0 and any
+    polynomial A(x, y),
+
+        section(A(x,f)/Qy(x,f), r) = B(x,f)/Qy(x,f),
+        B = sum_ij [x^(p*i+r) y^(p*j+p-1)](A * Q^(p-1)) x^i y^j,
+
+    so T_r(x^a y^b) reads coefficient (p*i+r-a, p*j+p-1-b) of Q^(p-1).
+    T_r keeps the space deg_x A <= h = deg_x Q, deg_y A <= d = deg_y Q.
+    The start A0 = y*Qy gives f itself, and A(0, a0)/Qy(0, a0) is the
+    constant term of the series of A.  Where Qy(0, a0) = 0, the root is
+    f = s + x^(v+1)*g for the root g of the shifted polynomial Q~ of
+    _shift_past_seed(); then A0 = (s + x^(v+1)*z)*Q~_z, in the space
+    deg_x A <= deg_x Q~ + v + 1, which T_r keeps as well.
+
+    Two SpanTracker passes make the representation minimal (Berstel and
+    Reutenauer, Noncommutative Rational Series, ch. 2): the vectors
+    reachable from A0 under the T_r, then the quotient of that space by
+    the states no digit string tells apart, from the columns M_w * b0,
+    output functional first.  Coordinate i of a state of the result is
+    its output after reading the digit string basis[i], so m is the
+    dimension of the section closure, the state alpha0 holds the
+    coefficients of f at the indices of those strings, and b0 = e_1.
+
+    The seed is checked at every index, after the checks expand_branch()
+    makes at the start, and raises the same NoBranch.  StateCapExceeded
+    past max_states basis elements; ChristolError where Q^(p-1) would
+    have more than MAX_POWER_CELLS coefficients.
+    """
+    q, p = spec.q, spec.p
+    a0 = _start_coefficient(q, spec.seed)
+    seed = spec.seed or (a0,)
+    head = ()
+    if q.dy_at_origin(a0) == 0:
+        head, q = _shift_past_seed(q, seed, len(seed) + 1)
+        a0 = _start_coefficient(q, ())
+    h, d = q.dx, q.dy
+    cells = ((p - 1) * h + 1) * ((p - 1) * d + 1)
+    if cells > MAX_POWER_CELLS:
+        raise ChristolError(f"Q^(p-1) has {cells} coefficients, more than {MAX_POWER_CELLS}")
+    width = (p - 1) * d + 1
+    power = _packed_power(q, p - 1, width)
+
+    # A0 = (s + x^(v+1)*y) * Qy over x^a y^b at index a*(d+1) + b, a <= nx - 1
+    nx = h + len(head) + 1
+    start = [0] * (nx * (d + 1))
+    for i, row in enumerate(q.coeffs):
+        for j in range(1, d + 1):
+            c = j * row[j] % p
+            for k, s in enumerate(head):
+                start[(i + k) * (d + 1) + j - 1] += c * s
+            start[(i + len(head)) * (d + 1) + j] += c
+    # terms[b]: (X, j, w) for each nonzero Q^(p-1) coefficient w at
+    # (X, Y) with Y + b = p*j + p - 1, so x^a y^b * it lands in T_r
+    terms = [[] for _ in range(d + 1)]
+    for idx, w in enumerate(power):
+        if w:
+            X, Y = divmod(idx, width)
+            for b in range((p - 1 - Y) % p, d + 1, p):
+                terms[b].append((X, (Y + b) // p, w))
+
+    def images(vec):
+        """T_0 vec, ..., T_(p-1) vec."""
+        out = [[0] * len(vec) for _ in range(p)]
+        for idx, c in enumerate(vec):
+            if c:
+                a, b = divmod(idx, d + 1)
+                for X, j, w in terms[b]:
+                    i, r = divmod(a + X, p)
+                    out[r][i * (d + 1) + j] += c * w
+        return [[x % p for x in o] for o in out]
+
+    # the polynomials reachable from A0; rows[r][l] = coordinates of T_r v_l
+    reach, _, rows = _span_closure(p, [x % p for x in start], images)
+    slope_inv = pow(q.dy_at_origin(a0), p - 2, p)
+    b0 = tuple(sum(vec[b] * pow(a0, b, p) for b in range(d + 1)) * slope_inv % p for vec in reach)
+
+    # the coefficient at k is e_0 * M_w * b0 for the digits w of k
+    for k in range(1, len(seed)):
+        col, n = b0, k
+        digits = []
+        while n:
+            n, r = divmod(n, p)
+            digits.append(r)
+        for r in reversed(digits):
+            col = _apply(rows[r], col, p)
+        if col[0] != seed[k]:
+            raise NoBranch(k)
+
+    # the observable quotient: columns M_w * b0 for digit strings w, the
+    # last digit applied first; cols[r][i] = coordinates of M_r u_i
+    columns, paths, cols = _span_closure(
+        p, b0, lambda col: [_apply(rows[r], col, p) for r in range(p)], max_states
+    )
+    m = len(columns)
+    matrices = tuple(
+        tuple(tuple(c[j] if j < len(c) else 0 for c in cols[r]) for j in range(m)) for r in range(p)
+    )
+    return KernelRepresentation(
+        p=p,
+        basis=tuple(path[::-1] for path in paths),
+        matrices=matrices,
+        b0=(1,) + (0,) * (m - 1) if m else (),
+        alpha0=tuple(col[0] for col in columns),
+        n_eq=None,
+    )

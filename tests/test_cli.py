@@ -12,8 +12,10 @@ from christol import (
     dfao_from_json,
     dfao_to_json,
     minimize,
+    orbit_closure,
     parse_bivariate,
     query,
+    recheck,
 )
 from christol import cli
 from christol.cli import cli_main
@@ -155,25 +157,25 @@ def test_automaton_unwritable_path(capsys, tmp_path):
     assert err.startswith("error:")
 
 
-def test_automaton_refuses_closure_that_fails_recheck(capsys, tmp_path):
-    # n_eq = 8 cannot separate the sections of 1/(1+x^11); built without
-    # recheck, the machine has 9 states and is wrong at 62 indices below 1024
+def test_automaton_at_n_eq_8_writes_the_exact_machine(capsys, tmp_path):
+    # n_eq = 8 cannot separate the sections of 1/(1+x^11): the closure at
+    # that precision fails recheck at doubled precision.  The exact
+    # construction compares no series, so --n-eq changes nothing
     out_path = tmp_path / "x11.json"
     dot_path = tmp_path / "x11.dot"
-    args = ["automaton", "--p", "2", "--poly", "(1+x^11)*y + 1"]
-    code, out, err = run(
-        capsys, *args, "--n-eq", "8", "--out", str(out_path), "--dot", str(dot_path)
-    )
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:") and "n_eq=8" in err and "--n-eq" in err
-    assert err.count("\n") == 1
-    assert not out_path.exists() and not dot_path.exists()
-    code, out, _ = run(capsys, *args, "--out", str(out_path))
-    assert (code, out) == (0, "11\n")
+    poly = "(1+x^11)*y + 1"
+    args = ["automaton", "--p", "2", "--poly", poly, "--out", str(out_path), "--dot", str(dot_path)]
+    written = []
+    for flags in (["--n-eq", "8"], []):
+        assert run(capsys, *args, *flags) == (0, "11\n", "")
+        written.append((out_path.read_bytes(), dot_path.read_bytes()))
+    assert written[0] == written[1]
     machine = dfao_from_json(out_path.read_text())
     for n in range(1024):
         assert query(machine, str(n)).value == int(n % 11 == 0), n
+    spec = BranchSpec(parse_bivariate(poly, 2))
+    assert machine == minimize(build_dfao(spec))
+    assert not recheck(orbit_closure(spec, ClosureConfig(n_eq=8)), spec, 2)
 
 
 def test_automaton_does_not_walk_the_orbit(capsys, tmp_path, monkeypatch):
@@ -230,17 +232,19 @@ def test_automaton_for_zero_roots(capsys, tmp_path):
     machine = dfao_from_json(out_path.read_text())
     assert (machine.delta, machine.tau) == (((0, 0, 0),), (0,))
     # the root of y + x^64 vanishes below x^64: the closure at the default
-    # n_eq sees zero, recheck at doubled precision does not
+    # n_eq sees zero and fails recheck, the exact construction does not
     out_path = tmp_path / "x64.json"
     args = ["automaton", "--p", "2", "--poly", "y + x^64", "--out", str(out_path)]
-    code, out, err = run(capsys, *args)
-    assert (code, out) == (1, "")
-    assert err == "error: the section closure at n_eq=64 fails recheck at doubled precision; raise --n-eq\n"
-    assert not out_path.exists()
-    assert run(capsys, *args, "--n-eq", "128") == (0, "9\n", "")
-    machine = dfao_from_json(out_path.read_text())
+    assert run(capsys, *args) == (0, "9\n", "")
+    written = out_path.read_bytes()
+    machine = dfao_from_json(written.decode())
     for n in range(1024):
         assert query(machine, str(n)).value == int(n == 64), n
+    assert run(capsys, *args, "--n-eq", "128") == (0, "9\n", "")
+    assert out_path.read_bytes() == written
+    spec = BranchSpec(parse_bivariate("y + x^64", 2))
+    assert machine == minimize(build_dfao(spec, ClosureConfig(n_eq=128)))
+    assert not recheck(orbit_closure(spec), spec, 2)
 
 
 def test_query_round_trip(capsys, tmp_path):
