@@ -27,9 +27,17 @@ Least-significant-first digit order makes trailing zeros of the input
 harmless by construction: delta(s, 0) fixes tau, so "6", "06" and "0006"
 (as digit strings 011, 0110, ...) agree.  to_digits_lsd() never emits
 the useless high zeros in the first place.  It converts an index of any
-length in subquadratic time (divide and conquer on Python ints) without
-touching the interpreter's int(str) limit, so a query costs a few
-milliseconds even for indices of thousands of digits.
+length without touching the interpreter's int(str) limit: the decimal
+string is parsed in chunks of at most 600 digits, and the value is cut
+by divide and conquer into words below P = p^k, the largest power of p
+at most 1024.  Each word becomes its k digits through one lookup in a
+table of P bytes objects, built once per p (52 KiB for p = 2, the
+largest); a p above 32 has k = 1 and builds no table.  The top levels of
+the split are big-int divisions, schoolbook in CPython 3.11 and so
+quadratic in the length.  On a 2-vCPU VM an index of 2133 digits
+converts in about 0.3-0.4 ms and one of 4549 digits in about 1 ms, 1.3
+to 2.6 times faster than one divmod per base-p digit (the gain is
+largest for p = 2, which has the most digits per word).
 """
 
 import json
@@ -193,8 +201,16 @@ def minimize(a: Dfao) -> Dfao:
 # Leaf chunks of the decimal parse stay below 640 digits, the lowest
 # int(str) limit an interpreter can be set to, so no limit is ever hit.
 _PARSE_LEAF = 600
-# Below p^(2^_SPLIT_LEAF) the split falls back to plain divmod(v, p).
-_SPLIT_LEAF = 5
+# The split works in words below P = p^k, the largest power of p at most
+# _WORD_MAX; each word becomes its k digits through a table of P bytes
+# objects.  _WORD_BASES keeps (P, table) per p for the life of the
+# process: at most eleven tables (the primes below 32, the only ones with
+# k >= 2) of at most _WORD_MAX entries each; a larger p keeps (p, None).
+_WORD_MAX = 1024
+_WORD_BASES = {}
+# Up to this many bits (about 300 decimal digits) a plain divmod(v, P)
+# loop costs less than splitting level by level.
+_LOOP_BITS = 1024
 
 
 def _parse_decimal(s: str) -> int:
@@ -206,47 +222,78 @@ def _parse_decimal(s: str) -> int:
     return _parse_decimal(s[:-k]) * 10**k + _parse_decimal(s[-k:])
 
 
-def _split(v: int, pows: list, level: int, width: int, out: list) -> None:
-    """Append the base-p digits of v < p^(2^(level+1)) to out, least
-    significant first, where pows[i] = p^(2^i).  A nonzero width pads
-    the digits with high zeros to exactly that many."""
-    if level < _SPLIT_LEAF:
-        start = len(out)
-        p = pows[0]
-        while v:
-            v, d = divmod(v, p)
-            out.append(d)
-        if width:
-            out.extend([0] * (width - (len(out) - start)))
-        return
-    hi, lo = divmod(v, pows[level])
-    if hi or width:
-        _split(lo, pows, level - 1, 1 << level, out)
-        _split(hi, pows, level - 1, width >> 1, out)
+def _word_base(p: int) -> tuple:
+    """Build and keep _WORD_BASES[p] = (P, table), where P = p^k is the
+    largest power of p at most _WORD_MAX and table[w] holds the k base-p
+    digits of w < P, least significant first, as bytes; the table is
+    None where k = 1.  Callers look in _WORD_BASES first."""
+    if p * p > _WORD_MAX:
+        entry = (p, None)
     else:
-        _split(lo, pows, level - 1, 0, out)
+        table = [b""]
+        while len(table) * p <= _WORD_MAX:
+            # the new digit d is the high one: entry d * len(table) + i
+            table = [t + bytes((d,)) for d in range(p) for t in table]
+        entry = (len(table), table)
+    _WORD_BASES[p] = entry
+    return entry
 
 
 def to_digits_lsd(n: str, p: int) -> list:
     """Base-p digits of a decimal string, least significant first.
 
-    Subquadratic divide and conquer on Python ints: the string is parsed
-    in halves of at most 600 digits each, and the value is split by
-    recursive divmod by p^(2^k).  Input length is unbounded, and the
-    interpreter's int(str) limit is never read or changed.  "0" gives [],
-    matching query(): no digits to read means the start state.  No
-    trailing (high-order) zeros are produced.
+    The string is parsed in halves of at most 600 digits each, so input
+    length is unbounded and the interpreter's int(str) limit is never
+    read or changed.  The value is then cut into words below P = p^k, the
+    largest power of p at most 1024.  Past 1024 bits this is a split,
+    level by level: every chunk is cut by P^(2^i) into a low and a high
+    half, from the top power down to single words.  Its top levels are a
+    few big-int divisions, schoolbook in CPython 3.11 and so quadratic in
+    the length, while the lower levels cost a few list operations per
+    chunk.  At 4549 digits and p = 5 the top four levels take about a
+    third of the time, the decimal parse a sixth, the three lowest
+    levels a fifth and the table lookups a tenth.  A shorter value is cut
+    by a divmod(v, P) loop.  Each word but the top one becomes its
+    k digits, high zeros included, through one lookup in a table of P
+    bytes objects, built once per p; a p above 32 has k = 1 and no
+    table.  The top word is cut digit by digit, so no trailing
+    (high-order) zeros are produced.  "0" gives [], matching query(): no
+    digits to read means the start state.
     """
     ensure_prime(p)
     # validate before int(), which also takes " 7", "+7", "1_000" and "١٢"
     if not isinstance(n, str) or not (n.isascii() and n.isdigit()):
         raise MalformedNumber(f"expected a decimal natural number, got {n!r}")
     v = _parse_decimal(n)
-    pows = [p]
-    while (sq := pows[-1] * pows[-1]) <= v:
-        pows.append(sq)
+    base, table = _WORD_BASES.get(p) or _word_base(p)
     digits = []
-    _split(v, pows, len(pows) - 1, 0, digits)
+    if v.bit_length() > _LOOP_BITS:
+        # powers P^(2^i) up to the first that surely squares past v: one
+        # of b bits squares to at least 2^(2b - 2)
+        pows = [base]
+        while 2 * pows[-1].bit_length() - 2 < v.bit_length():
+            pows.append(pows[-1] * pows[-1])
+        # words least significant first, no zero word on top
+        words = [v]
+        for q in reversed(pows):
+            highs = [c // q for c in words]
+            split = [0] * (2 * len(words))
+            split[0::2] = [c - h * q for c, h in zip(words, highs)]
+            split[1::2] = highs
+            if not highs[-1]:
+                split.pop()
+            words = split
+        v = words.pop()
+        digits = list(b"".join(map(table.__getitem__, words))) if table else words
+    elif table:
+        while v >= base:
+            v, w = divmod(v, base)
+            digits += table[w]
+    # what is left of v, the top word (for k = 1 all of a short value),
+    # goes digit by digit
+    while v:
+        v, d = divmod(v, p)
+        digits.append(d)
     return digits
 
 

@@ -7,6 +7,7 @@ binomials from math.comb, so a library bug cannot vouch for itself.
 
 import math
 import random
+import sys
 
 from christol import (
     AmbiguousBranch,
@@ -124,6 +125,21 @@ def root_prefixes(q: BivariatePolynomial, seed, depth: int) -> list:
 def random_series(rng: random.Random, p: int, max_len: int = 48, min_len: int = 0) -> TruncatedSeries:
     length = rng.randint(min_len, max_len)
     return TruncatedSeries(p, [rng.randrange(p) for _ in range(length)])
+
+
+def decimal_str(n: int) -> str:
+    """str(n) for an n of any length.  The interpreter's int(str) limit
+    (sys.set_int_max_str_digits) is lifted for this one conversion and
+    restored after it, so the code under test still runs under the limit
+    the suite was started with."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(n)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def random_decimal(rng: random.Random, num_digits: int) -> str:

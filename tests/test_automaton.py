@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from christol import automaton
 from christol import (
     BranchSpec,
     ClosureConfig,
@@ -14,6 +15,7 @@ from christol import (
     dfao_from_json,
     dfao_from_linear,
     dfao_to_json,
+    exact_representation,
     expand_branch,
     export_dot,
     minimize,
@@ -25,7 +27,15 @@ from christol import (
 )
 from christol.examples import all_ones_spec, central_binomial_spec, shipped_specs, thue_morse_spec
 from christol.finite_field import ensure_prime
-from support import base_digits, byte_identity_cases, central_binomial_lucas, lucas_central_binomial_mod3, parity, random_decimal
+from support import (
+    base_digits,
+    byte_identity_cases,
+    central_binomial_lucas,
+    decimal_str,
+    lucas_central_binomial_mod3,
+    parity,
+    random_decimal,
+)
 
 TM_JSON = (
     '{"format":"dfao-v1","p":2,"digit_order":"lsd","start":0,'
@@ -260,8 +270,60 @@ def test_to_digits_matches_short_division_at_split_powers():
         for k in range(11):
             q = p ** (2**k)
             for v in (q - 1, q, q + 1):
-                n = str(v)
+                n = decimal_str(v)
                 assert to_digits_lsd(n, p) == short_division_lsd(n, p), (p, k, v - q)
+
+
+# both sides of the table cutoff: p < 32 has k >= 2 digits per word
+WORD_PRIMES = (2, 3, 5, 7, 31, 37, 65521)
+
+
+def word_base(p: int) -> tuple:
+    """(P, k): P = p^k, the largest power of p at most 1024."""
+    P, k = p, 1
+    while P * p <= 1024:
+        P, k = P * p, k + 1
+    return P, k
+
+
+@pytest.mark.parametrize("loop_bits", [None, 0], ids=["default", "split-every-value"])
+def test_to_digits_matches_short_division_at_word_boundaries(monkeypatch, loop_bits):
+    # q = P^(2^i) is a split divisor of the word split, and values with
+    # 1, k-1, k and k+1 base-p digits end inside, at and past one word;
+    # with _LOOP_BITS = 0 every value goes through the level split, by
+    # default only values past _LOOP_BITS bits do
+    if loop_bits is not None:
+        monkeypatch.setattr(automaton, "_LOOP_BITS", loop_bits)
+    for p in WORD_PRIMES:
+        P, k = word_base(p)
+        values = {2**automaton._LOOP_BITS + e for e in (-1, 0, 1)}
+        for i in range(7):
+            q = P ** (2**i)
+            values |= {q - 1, q, q + 1}
+        for j in (1, k - 1, k, k + 1):
+            if j:
+                values |= {p ** (j - 1), p ** (j - 1) + 1, p**j - 1}
+        for v in sorted(values):
+            n = decimal_str(v)
+            want = short_division_lsd(n, p)
+            assert to_digits_lsd(n, p) == want, (p, v)
+            assert to_digits_lsd("000" + n, p) == want, (p, v)
+        for zero in ("0", "000"):
+            assert to_digits_lsd(zero, p) == []
+
+
+def test_word_tables_stay_small():
+    for p in WORD_PRIMES:
+        assert to_digits_lsd(str(p**3 + 1), p) == [1, 0, 0, 1]
+    for p, (P, table) in automaton._WORD_BASES.items():
+        want, k = word_base(p)
+        assert P == want and (table is None) == (p > 32), p
+        if table is not None:
+            assert len(table) == P <= 1024, p
+            for w in range(P):
+                digits = base_digits(w, p)
+                assert list(table[w]) == digits + [0] * (k - len(digits)), (p, w)
+    assert automaton._WORD_BASES[65521] == (65521, None)
 
 
 def test_to_digits_rejects_malformed():
@@ -298,6 +360,25 @@ def test_query_dispatches_on_machine_kind():
         rep = orbit_closure(spec)
         for n in range(512):
             assert query(a, str(n)) == query(rep, str(n))
+
+
+def test_long_queries_agree_between_representation_and_machine():
+    # indices of 1000 to 5000 digits; both sides convert through
+    # to_digits_lsd, and the oracle reads the index as an int
+    cases = (
+        (thue_morse_spec(), parity),
+        (central_binomial_spec(), lambda v: central_binomial_lucas(v, 3)),
+        (BranchSpec(parse_bivariate("(1+1*x)*y^2 + 4", 5), seed=(1,)), lambda v: central_binomial_lucas(v, 5)),
+    )
+    rng = random.Random(7301)
+    for spec, oracle in cases:
+        rep = exact_representation(spec)
+        machine = dfao_from_linear(rep)
+        for length in (1000, rng.randrange(1001, 5000), 5000):
+            v = rng.randrange(10 ** (length - 1), 10**length)
+            n = decimal_str(v)
+            assert query(rep, n) == query(machine, n), (spec.p, length)
+            assert int(query(machine, n)) == oracle(v), (spec.p, length)
 
 
 def test_query_zero_is_constant_term():
