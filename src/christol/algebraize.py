@@ -1,29 +1,76 @@
 """From automatic sequences back to algebraic equations.
 
 automatic_to_series() tabulates a machine's outputs as a truncated
-series.  guess_polynomial() then searches for a nonzero Q(x, y) of
-bounded degree with Q(x, f) = 0 mod x^N: each product x^i * f^j is one
-column of an evaluation matrix, and any kernel vector is a candidate
-relation.  The kernel is solved on a few rows, O(k) for k columns, and
-the candidate is then checked against the whole input, so the answer is
-certified exactly as far as the input reaches (the returned Q
-annihilates the given truncation; more coefficients give a stronger
-certificate, never a different normalized Q).
+series, level by level: the states reached on the k-digit strings, high
+zeros included, give those on the (k+1)-digit strings through one
+transition each, and the strings with a nonzero top digit are exactly
+the base-p forms of the next indices.  Every level is cut at N entries
+and the levels grow geometrically, so N terms take fewer than 3N
+transitions for every p.
+
+guess_polynomial() then searches for a nonzero Q(x, y) of bounded degree
+with Q(x, f) = 0 mod x^N: each product x^i * f^j is one column of an
+evaluation matrix, and any kernel vector is a candidate relation.  The
+kernel is solved on a few rows, O(k) for k columns, and the candidate is
+then checked against the whole input, so the answer is certified exactly
+as far as the input reaches (the returned Q annihilates the given
+truncation; more coefficients give a stronger certificate, never a
+different normalized Q).
 """
 
 from .algebraic_series import BivariatePolynomial, verify_annihilation
-from .automaton import query
 from .errors import NoRelationFound
+from .kernel import KernelRepresentation, alpha_output, alpha_step
 from .linalg import nullspace_basis
 from .power_series import TruncatedSeries, cauchy_product
 
 
 def automatic_to_series(machine, n: int) -> TruncatedSeries:
-    """First n outputs of the machine as a truncated series:
-    coefficient j is query(machine, str(j))."""
+    """First n outputs of the machine, a Dfao or a KernelRepresentation,
+    as a truncated series: coefficient j is query(machine, str(j)).
+
+    reached[u] is the state after the k base-p digits of u, high zeros
+    included, for every u < p^k; it starts as [start] at k = 0.  Reading
+    one more digit d maps reached[u] to the state of u + d*p^k on k+1
+    digits, so the next level is p blocks, block d the images of
+    reached under digit d.  The entries from index p^k on have a nonzero
+    top digit: they are the digits query() reads, and their outputs are
+    the next coefficients, exact even for a machine whose outputs change
+    under trailing zeros.  Every level is cut at n entries, so the table
+    takes fewer than 3n transitions and holds at most 2n states at once,
+    for every p, p = 65521 included, against one decimal conversion and
+    O(log n) transitions per index through query().
+    """
     if n < 0:
         raise ValueError(f"term count must be nonnegative, got {n}")
-    return TruncatedSeries(machine.p, (query(machine, str(j)).value for j in range(n)))
+    if isinstance(machine, KernelRepresentation):
+        start = machine.alpha0
+
+        def advance(states, d):
+            return [alpha_step(machine, a, d) for a in states]
+
+        def outputs(states):
+            return [alpha_output(machine, a).value for a in states]
+
+    else:
+        start, delta, tau = machine.start, machine.delta, machine.tau
+
+        def advance(states, d):
+            return [delta[s][d] for s in states]
+
+        def outputs(states):
+            return [tau[s] for s in states]
+
+    reached = [start]
+    coeffs = outputs(reached)[:n]
+    while len(coeffs) < n:
+        level, reached = reached, []
+        for d in range(machine.p):
+            if len(reached) >= n:
+                break
+            reached += advance(level[: n - len(reached)], d)
+        coeffs += outputs(reached[len(level):])
+    return TruncatedSeries(machine.p, coeffs)
 
 
 def guess_polynomial(f: TruncatedSeries, dx: int, dy: int) -> BivariatePolynomial:

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .algebraic_series import BranchSpec, expand_branch, parse_bivariate
-from .algebraize import automatic_to_series, guess_polynomial
+from .algebraize import guess_polynomial
 from .automaton import (
     build_dfao,
     dfao_from_json,

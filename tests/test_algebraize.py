@@ -4,15 +4,21 @@ import pytest
 
 from christol import (
     BivariatePolynomial,
+    BranchSpec,
+    Dfao,
     NoRelationFound,
+    StateCapExceeded,
     TruncatedSeries,
     automatic_to_series,
     build_dfao,
+    dfao_from_linear,
+    exact_representation,
     expand_branch,
     expand_rational,
     guess_polynomial,
     orbit_closure,
     parse_bivariate,
+    query,
     verify_annihilation,
 )
 from christol import algebraize
@@ -45,6 +51,64 @@ def test_automatic_to_series_tabulates_queries():
     with pytest.raises(ValueError):
         automatic_to_series(rep, -1)
     assert automatic_to_series(rep, 0).precision == 0
+
+
+def random_dfao(rng, p, delta_row=tuple):
+    """A seeded machine with random transitions and outputs, so as a rule
+    not trailing-zero stable, and a random start state."""
+    n = rng.randint(1, 6)
+    delta = tuple(delta_row(rng.randrange(n) for _ in range(p)) for _ in range(n))
+    return Dfao(p, rng.randrange(n), delta, tuple(rng.randrange(p) for _ in range(n)))
+
+
+def test_automatic_to_series_matches_per_index_queries():
+    rng = random.Random(11)
+    unstable = moved_start = 0
+    for p in (2, 3, 5, 7, 65521):
+        for _ in range(6 if p < 65521 else 2):
+            m = random_dfao(rng, p)
+            unstable += not m.is_trailing_zero_stable()
+            moved_start += m.start != 0
+            # p^k - 1, p^k and p^k + 1 for every p^k <= 700, and k = 1 always
+            terms = [0, 1, rng.randint(0, 700), rng.randint(0, 700)]
+            power = p
+            while power <= 700 or power == p:
+                terms += [power - 1, power, power + 1]
+                power *= p
+            for n in terms:
+                expect = tuple(query(m, str(j)).value for j in range(n))
+                assert automatic_to_series(m, n).coeffs == expect, (p, m.start, n)
+            with pytest.raises(ValueError):
+                automatic_to_series(m, -1)
+    assert unstable > 20 and moved_start > 10
+
+
+def test_automatic_to_series_reads_a_representation_past_the_dfao_cap():
+    spec = BranchSpec(parse_bivariate("(1+x^3+x^20)*y + 1", 2))
+    rep = exact_representation(spec)
+    assert rep.m == 20
+    with pytest.raises(StateCapExceeded):
+        dfao_from_linear(rep)
+    assert automatic_to_series(rep, 256) == expand_branch(spec, 256)
+
+
+class CountingRow(tuple):
+    """A transition row that counts the entries read from it."""
+
+    reads = 0
+
+    def __getitem__(self, d):
+        CountingRow.reads += 1
+        return tuple.__getitem__(self, d)
+
+
+def test_automatic_to_series_cuts_every_level_at_n():
+    # over F_65521 an uncut first level alone reads 65521 transitions
+    m = random_dfao(random.Random(12), 65521, CountingRow)
+    CountingRow.reads = 0
+    f = automatic_to_series(m, 300)
+    assert 0 < CountingRow.reads <= 2 * 300
+    assert f.coeffs == tuple(query(m, str(j)).value for j in range(300))
 
 
 def test_guess_all_ones():
