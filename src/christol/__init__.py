@@ -34,7 +34,6 @@ from .errors import (
     DegreeOutOfRange,
     DegreeOverflow,
     DimensionMismatch,
-    DivisionByZero,
     MalformedNumber,
     ModulusMismatch,
     NoBranch,
@@ -45,7 +44,7 @@ from .errors import (
     SchemaError,
     StateCapExceeded,
 )
-from .finite_field import FpElement, ensure_prime
+from .finite_field import ensure_prime
 from .kernel import (
     ClosureConfig,
     KernelRepresentation,
@@ -71,8 +70,6 @@ __all__ = [
     "DegreeOverflow",
     "Dfao",
     "DimensionMismatch",
-    "DivisionByZero",
-    "FpElement",
     "KernelRepresentation",
     "MalformedNumber",
     "ModulusMismatch",

@@ -50,7 +50,7 @@ def automatic_to_series(machine, n: int) -> TruncatedSeries:
             return [alpha_step(machine, a, d) for a in states]
 
         def outputs(states):
-            return [alpha_output(machine, a).value for a in states]
+            return [alpha_output(machine, a) for a in states]
 
     else:
         start, delta, tau = machine.start, machine.delta, machine.tau

@@ -41,10 +41,10 @@ largest for p = 2, which has the most digits per word).
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import MalformedNumber, SchemaError, StateCapExceeded
-from .finite_field import FpElement, ensure_prime
+from .finite_field import ensure_prime
 from .kernel import (
     DEFAULT_MAX_STATES,
     ClosureConfig,
@@ -60,18 +60,16 @@ FORMAT_TAG = "dfao-v1"
 @dataclass(frozen=True)
 class Dfao:
     """States 0..n-1 with transition table delta[state][digit], output
-    table tau[state], and a start state.  Instances are immutable."""
+    table tau[state], and a start state; digits are read least
+    significant first.  Instances are immutable."""
 
     p: int
     start: int
     delta: tuple
     tau: tuple
-    digit_order: str = field(default="lsd")
 
     def __post_init__(self):
         ensure_prime(self.p)
-        if self.digit_order != "lsd":
-            raise ValueError(f"unsupported digit order {self.digit_order!r}")
         n = len(self.delta)
         if n == 0 or len(self.tau) != n:
             raise ValueError("delta and tau must cover the same nonempty state set")
@@ -159,7 +157,7 @@ def dfao_from_linear(rep: KernelRepresentation, max_states: int = DEFAULT_MAX_ST
             row.append(sid)
         delta.append(tuple(row))
         i += 1
-    taus = tuple(alpha_output(rep, a).value for a in alphas)
+    taus = tuple(alpha_output(rep, a) for a in alphas)
     return Dfao(p=rep.p, start=0, delta=tuple(delta), tau=taus)
 
 
@@ -297,9 +295,10 @@ def to_digits_lsd(n: str, p: int) -> list:
     return digits
 
 
-def query(machine, n: str) -> FpElement:
-    """The n-th output: feed the base-p digits of n (LSD first) through
-    machine, which may be a Dfao or a KernelRepresentation."""
+def query(machine, n: str) -> int:
+    """The n-th output, a residue in [0, p): feed the base-p digits of n
+    (LSD first) through machine, which may be a Dfao or a
+    KernelRepresentation."""
     if isinstance(machine, KernelRepresentation):
         digits = to_digits_lsd(n, machine.p)
         alpha = machine.alpha0
@@ -310,7 +309,7 @@ def query(machine, n: str) -> FpElement:
     state = machine.start
     for d in digits:
         state = machine.delta[state][d]
-    return FpElement(machine.tau[state], machine.p)
+    return machine.tau[state]
 
 
 def export_dot(a: Dfao) -> str:
@@ -341,7 +340,7 @@ def dfao_to_json(a: Dfao) -> str:
     doc = {
         "format": FORMAT_TAG,
         "p": a.p,
-        "digit_order": a.digit_order,
+        "digit_order": "lsd",
         "start": a.start,
         "states": [
             {"output": a.tau[s], "next": list(a.delta[s])} for s in range(a.n_states)
@@ -355,7 +354,9 @@ def dfao_from_json(text: str) -> Dfao:
     SchemaError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integer literals past the
+        # int(str) limit; RecursionError covers nesting past the stack
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
@@ -364,6 +365,9 @@ def dfao_from_json(text: str) -> Dfao:
     if doc.get("digit_order") != "lsd":
         raise SchemaError(f"unsupported digit order {doc.get('digit_order')!r}")
     p = doc.get("p")
+    if not isinstance(p, int) or isinstance(p, bool):
+        # checked before ensure_prime, whose cache cannot hash a list
+        raise SchemaError(f"bad modulus: modulus must be an int, got {p!r}")
     try:
         ensure_prime(p)
     except ValueError as exc:

@@ -84,7 +84,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         raise _UsageError(f"--n must be a decimal natural number, got {args.n!r}")
     with open(args.automaton) as fh:
         machine = dfao_from_json(fh.read())
-    print(query(machine, args.n).value)
+    print(query(machine, args.n))
     return 0
 
 
@@ -108,7 +108,7 @@ def _selftest_suite(name, spec, oracle, limit, expect_states, to_base):
         lines.append(f"{name}: expected {expect_states} states, got {machine.n_states}: FAIL")
     bad = 0
     for n in range(limit):
-        if query(machine, str(n)).value != oracle(to_base(n)):
+        if query(machine, str(n)) != oracle(to_base(n)):
             bad += 1
     lines.append(f"{name}: outputs match the oracle for n < {limit}: "
                  f"{'ok' if bad == 0 else f'{bad} FAIL'}")

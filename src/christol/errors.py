@@ -14,10 +14,6 @@ class ModulusMismatch(ChristolError):
     """Operands live over different prime fields."""
 
 
-class DivisionByZero(ChristolError):
-    """Division by the zero element of F_p."""
-
-
 class NotAPthPower(ChristolError):
     """A nonzero coefficient sits at an index not divisible by p."""
 

@@ -1,8 +1,9 @@
-"""Arithmetic in the prime field F_p for p up to 2**16."""
+"""Validation of the prime modulus p <= 2**16.
+
+Elements of F_p are plain int residues in [0, p) throughout the package.
+"""
 
 import functools
-
-from .errors import DivisionByZero, ModulusMismatch
 
 MAX_MODULUS = 2**16
 
@@ -12,7 +13,7 @@ def ensure_prime(p: int) -> int:
     """Validate that p is a prime in [2, 2**16] and return it.
 
     Trial division is plenty at this size, and the cache makes repeated
-    validation (one per element construction) a dictionary hit.
+    validation (one per series or machine construction) a dictionary hit.
     """
     if not isinstance(p, int) or isinstance(p, bool):
         raise ValueError(f"modulus must be an int, got {p!r}")
@@ -25,73 +26,3 @@ def ensure_prime(p: int) -> int:
         d += 1
     return p
 
-
-class FpElement:
-    """An element of F_p, stored as the canonical residue in [0, p)."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        ensure_prime(p)
-        self.value = int(value) % p
-        self.p = p
-
-    def _match(self, other: "FpElement") -> None:
-        if not isinstance(other, FpElement):
-            raise TypeError(f"expected FpElement, got {type(other).__name__}")
-        if other.p != self.p:
-            raise ModulusMismatch(f"mixed moduli {self.p} and {other.p}")
-
-    def __add__(self, other):
-        self._match(other)
-        return FpElement(self.value + other.value, self.p)
-
-    def __sub__(self, other):
-        self._match(other)
-        return FpElement(self.value - other.value, self.p)
-
-    def __mul__(self, other):
-        self._match(other)
-        return FpElement(self.value * other.value, self.p)
-
-    def __truediv__(self, other):
-        self._match(other)
-        if other.value == 0:
-            raise DivisionByZero(f"division by zero in F_{self.p}")
-        # Fermat: b**(p-2) inverts b for b != 0.
-        return FpElement(self.value * pow(other.value, self.p - 2, self.p), self.p)
-
-    def __neg__(self):
-        return FpElement(-self.value, self.p)
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            if self.value == 0:
-                raise DivisionByZero(f"division by zero in F_{self.p}")
-            inv = pow(self.value, self.p - 2, self.p)
-            return FpElement(pow(inv, -exponent, self.p), self.p)
-        return FpElement(pow(self.value, exponent, self.p), self.p)
-
-    def pth_root(self) -> "FpElement":
-        """The unique p-th root.  x -> x**p is the identity on F_p, so the
-        root of a is a itself."""
-        return self
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FpElement)
-            and self.p == other.p
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"F_{self.p}({self.value})"

@@ -40,7 +40,6 @@ from .algebraic_series import (
     expand_branch,
 )
 from .errors import ChristolError, DimensionMismatch, NoBranch, StateCapExceeded
-from .finite_field import FpElement
 from .linalg import SpanTracker
 from .power_series import TruncatedSeries, cauchy_product
 from .weeding import section
@@ -195,12 +194,11 @@ def alpha_step(rep: KernelRepresentation, alpha, digit: int) -> tuple:
     return tuple(out)
 
 
-def alpha_output(rep: KernelRepresentation, alpha) -> FpElement:
-    """Output functional alpha . b0."""
+def alpha_output(rep: KernelRepresentation, alpha) -> int:
+    """Output functional alpha . b0, a residue in [0, p)."""
     if len(alpha) != rep.m:
         raise DimensionMismatch(f"alpha has length {len(alpha)}, basis has {rep.m}")
-    total = sum(a * b for a, b in zip(alpha, rep.b0))
-    return FpElement(total, rep.p)
+    return sum(a * b for a, b in zip(alpha, rep.b0)) % rep.p
 
 
 def recheck(rep: KernelRepresentation, spec: BranchSpec, factor: int = 2) -> bool:

@@ -14,7 +14,7 @@ import sys
 from array import array
 
 from .errors import ModulusMismatch, NotAPthPower
-from .finite_field import FpElement, ensure_prime
+from .finite_field import ensure_prime
 
 # (slot width in bytes, array/memoryview format of that width), narrowest
 # first.  The formats are native, so slots are packed and read in the
@@ -87,9 +87,6 @@ class TruncatedSeries:
     def precision(self) -> int:
         return len(self.coeffs)
 
-    def coefficient(self, j: int) -> FpElement:
-        return FpElement(self.coeffs[j], self.p)
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
@@ -99,26 +96,15 @@ class TruncatedSeries:
         if other.p != self.p:
             raise ModulusMismatch(f"mixed moduli {self.p} and {other.p}")
 
-    def _scalar(self, c) -> int:
-        if isinstance(c, FpElement):
-            if c.p != self.p:
-                raise ModulusMismatch(f"mixed moduli {self.p} and {c.p}")
-            return c.value
-        return int(c) % self.p
-
     # -- arithmetic ---------------------------------------------------
 
-    def add(self, other: "TruncatedSeries", scalar=None) -> "TruncatedSeries":
-        """scalar*self + other, at the smaller of the two precisions."""
+    def __add__(self, other):
+        """self + other, at the smaller of the two precisions."""
         self._match(other)
-        s = 1 if scalar is None else self._scalar(scalar)
         p = self.p
         return TruncatedSeries._of(
-            p, tuple([(s * a + b) % p for a, b in zip(self.coeffs, other.coeffs)])
+            p, tuple([(a + b) % p for a, b in zip(self.coeffs, other.coeffs)])
         )
-
-    def __add__(self, other):
-        return self.add(other)
 
     def __sub__(self, other):
         self._match(other)
@@ -131,9 +117,9 @@ class TruncatedSeries:
         p = self.p
         return TruncatedSeries._of(p, tuple([(-c) % p for c in self.coeffs]))
 
-    def scale(self, c) -> "TruncatedSeries":
-        s = self._scalar(c)
+    def scale(self, c: int) -> "TruncatedSeries":
         p = self.p
+        s = c % p
         return TruncatedSeries._of(p, tuple([s * a % p for a in self.coeffs]))
 
     def __mul__(self, other):

@@ -77,13 +77,13 @@ def test_criterion_3_digit_parity_end_to_end():
     if machine.n_states != 2:
         failures.append(f"expected 2 states, got {machine.n_states}")
     for n in range(2**14):
-        if query(machine, str(n)).value != parity(n):
+        if query(machine, str(n)) != parity(n):
             failures.append(f"n={n}")
             break
     rng = random.Random(303)
     for _ in range(20):
         s = random_decimal(rng, 40)
-        if query(machine, s).value != parity(int(s)):
+        if query(machine, s) != parity(int(s)):
             failures.append(f"n={s}")
     _report(3, "binary digit-parity machine: 2 states, exact on n < 2^14 "
                "and on 40-digit indices", failures)
@@ -95,13 +95,13 @@ def test_criterion_4_central_binomial_end_to_end():
     if machine.n_states != 3:
         failures.append(f"expected 3 states, got {machine.n_states}")
     for n in range(3**9):
-        if query(machine, str(n)).value != lucas_central_binomial_mod3(n):
+        if query(machine, str(n)) != lucas_central_binomial_mod3(n):
             failures.append(f"n={n}")
             break
     rng = random.Random(404)
     for _ in range(20):
         s = random_decimal(rng, 50)
-        if query(machine, s).value != lucas_central_binomial_mod3(int(s)):
+        if query(machine, s) != lucas_central_binomial_mod3(int(s)):
             failures.append(f"n={s}")
     _report(4, "central-binomial-mod-3 machine: 3 states, exact on n < 3^9 "
                "and on 50-digit indices", failures)

@@ -85,7 +85,7 @@ def test_machines_for_roots_with_singular_slope():
         assert machine == minimize(build_dfao(spec))
         f = expand_branch(spec, 3**7)
         for n in range(3**7):
-            assert query(machine, str(n)).value == f.coeffs[n], (seed, n)
+            assert query(machine, str(n)) == f.coeffs[n], (seed, n)
 
 
 def test_dfao_from_linear_is_already_minimal():
@@ -358,8 +358,10 @@ def test_query_dispatches_on_machine_kind():
     for _, spec in shipped_specs():
         a = build_dfao(spec)
         rep = orbit_closure(spec)
+        assert all(type(t) is int for t in dfao_from_linear(rep).tau)
         for n in range(512):
-            assert query(a, str(n)) == query(rep, str(n))
+            got, want = query(a, str(n)), query(rep, str(n))
+            assert type(got) is type(want) is int and got == want
 
 
 def test_long_queries_agree_between_representation_and_machine():
@@ -453,6 +455,11 @@ def test_json_schema_violations():
         _mutate("p", 4),
         _mutate("p", 0),
         _mutate("p", "2"),
+        _mutate("p", True),
+        _mutate("p", [2]),  # unhashable, so checked before ensure_prime
+        _mutate("p", {}),
+        TM_JSON.replace('"start":0', '"start":' + "1" * 5000),  # past int(str)
+        "[" * 100_000 + "]" * 100_000,  # past the recursion limit
         _mutate("start", 2),
         _mutate("start", -1),
         _mutate("start", True),
@@ -492,8 +499,6 @@ def test_dfao_constructor_validation():
         Dfao(p=2, start=0, delta=((0, 1),), tau=(0,))  # target out of range
     with pytest.raises(ValueError):
         Dfao(p=2, start=0, delta=((0, 0),), tau=(2,))  # output not a residue
-    with pytest.raises(ValueError):
-        Dfao(p=2, start=0, delta=((0, 0),), tau=(0,), digit_order="msd")
     with pytest.raises(ValueError):
         Dfao(p=6, start=0, delta=((0,) * 6,), tau=(0,))
 

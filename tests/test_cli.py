@@ -172,7 +172,7 @@ def test_automaton_at_n_eq_8_writes_the_exact_machine(capsys, tmp_path):
     assert written[0] == written[1]
     machine = dfao_from_json(out_path.read_text())
     for n in range(1024):
-        assert query(machine, str(n)).value == int(n % 11 == 0), n
+        assert query(machine, str(n)) == int(n % 11 == 0), n
     spec = BranchSpec(parse_bivariate(poly, 2))
     assert machine == minimize(build_dfao(spec))
     assert not recheck(orbit_closure(spec, ClosureConfig(n_eq=8)), spec, 2)
@@ -222,7 +222,7 @@ def test_automaton_for_roots_with_singular_slope(capsys, tmp_path):
             assert out_path.read_text() == dfao_to_json(oracle) + "\n", text
             assert out == f"{oracle.n_states}\n"
             for n in range(4 * len(r)):
-                assert query(oracle, str(n)).value == (r[n] if n < len(r) else 0)
+                assert query(oracle, str(n)) == (r[n] if n < len(r) else 0)
 
 
 def test_automaton_for_zero_roots(capsys, tmp_path):
@@ -239,7 +239,7 @@ def test_automaton_for_zero_roots(capsys, tmp_path):
     written = out_path.read_bytes()
     machine = dfao_from_json(written.decode())
     for n in range(1024):
-        assert query(machine, str(n)).value == int(n == 64), n
+        assert query(machine, str(n)) == int(n == 64), n
     assert run(capsys, *args, "--n-eq", "128") == (0, "9\n", "")
     assert out_path.read_bytes() == written
     spec = BranchSpec(parse_bivariate("y + x^64", 2))
@@ -332,11 +332,21 @@ def test_query_missing_file(capsys, tmp_path):
 
 
 def test_query_malformed_document(capsys, tmp_path):
+    # besides a wrong tag: an unhashable modulus, an int past the
+    # int(str) limit and nesting past the recursion limit; each ends in
+    # one error line, no traceback
+    good = '{"format":"dfao-v1","p":2,"digit_order":"lsd","start":0,"states":[{"output":1,"next":[0,0]}]}'
     bad = tmp_path / "bad.json"
-    bad.write_text('{"format":"dfao-v9"}')
-    code, _, err = run(capsys, "query", "--automaton", str(bad), "--n", "3")
-    assert code == 1
-    assert "error:" in err
+    for text in (
+        '{"format":"dfao-v9"}',
+        good.replace('"p":2', '"p":[2]'),
+        good.replace('"start":0', '"start":' + "1" * 5000),
+        "[" * 100_000 + "]" * 100_000,
+    ):
+        bad.write_text(text)
+        code, out, err = run(capsys, "query", "--automaton", str(bad), "--n", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err[:80]
 
 
 def test_algebraize(capsys, tmp_path):

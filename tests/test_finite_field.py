@@ -1,88 +1,13 @@
-import random
-
 import pytest
 
-from christol import DivisionByZero, FpElement, ModulusMismatch, ensure_prime
-
-PRIMES = (2, 3, 5, 7, 101)
-
-
-def test_worked_examples_mod_7():
-    three = FpElement(3, 7)
-    five = FpElement(5, 7)
-    one = FpElement(1, 7)
-    assert (three + five).value == 1
-    assert (three * five).value == 1
-    assert (one / three).value == 5
-
-
-def test_negative_and_oversized_values_normalize():
-    assert FpElement(-1, 7) == FpElement(6, 7)
-    assert FpElement(23, 7).value == 2
-
-
-def test_inverses_exhaustive_small_primes():
-    for p in PRIMES:
-        one = FpElement(1, p)
-        for a in range(1, p):
-            el = FpElement(a, p)
-            assert (one / el) * el == one
-
-
-def test_pth_root_is_identity_exhaustive():
-    # x -> x**p fixes every element of F_p, so the root of a is a.
-    for p in PRIMES:
-        for a in range(p):
-            el = FpElement(a, p)
-            assert el.pth_root() == el
-            assert el ** p == el
-
-
-def test_field_axioms_random():
-    rng = random.Random(20260819)
-    for p in PRIMES:
-        for _ in range(1000):
-            a = FpElement(rng.randrange(p), p)
-            b = FpElement(rng.randrange(p), p)
-            c = FpElement(rng.randrange(p), p)
-            assert a + b == b + a
-            assert a * b == b * a
-            assert (a + b) + c == a + (b + c)
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-            assert a + (-a) == FpElement(0, p)
-            if b.value:
-                assert (a / b) * b == a
-
-
-def test_subtraction_and_pow():
-    a = FpElement(2, 5)
-    assert (a - FpElement(4, 5)).value == 3
-    assert (a ** 10).value == pow(2, 10, 5)
-    assert (a ** -1) * a == FpElement(1, 5)
-    with pytest.raises(DivisionByZero):
-        FpElement(0, 5) ** -2
-
-
-def test_modulus_mismatch():
-    with pytest.raises(ModulusMismatch):
-        FpElement(1, 3) + FpElement(1, 5)
-    with pytest.raises(ModulusMismatch):
-        FpElement(1, 3) / FpElement(1, 5)
-
-
-def test_division_by_zero():
-    with pytest.raises(DivisionByZero):
-        FpElement(2, 7) / FpElement(0, 7)
+from christol import ensure_prime
 
 
 def test_modulus_validation():
     ensure_prime(2)
     ensure_prime(65521)  # largest prime below 2**16
-    for bad in (0, 1, 4, 6, 9, 65536, 65537, -3):
+    for bad in (0, 1, 4, 6, 9, 10, 65536, 65537, -3):
         with pytest.raises(ValueError):
             ensure_prime(bad)
-    with pytest.raises(ValueError):
-        FpElement(1, 10)
     with pytest.raises(ValueError):
         ensure_prime(True)

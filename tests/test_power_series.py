@@ -7,7 +7,6 @@ import pytest
 
 import christol
 from christol import (
-    FpElement,
     ModulusMismatch,
     NotAPthPower,
     TruncatedSeries,
@@ -31,7 +30,7 @@ def schoolbook(a, b, p, n):
 
 
 def test_add_mul_shift_worked_examples():
-    assert S(2, [1, 1]).add(S(2, [0, 1])).coeffs == (1, 0)
+    assert (S(2, [1, 1]) + S(2, [0, 1])).coeffs == (1, 0)
     f = S(2, [1, 1, 0])
     assert (f * f).coeffs == (1, 0, 1)
     assert S(3, [1, 2]).shift(2).coeffs == (0, 0, 1, 2)
@@ -42,21 +41,12 @@ def test_precision_rules():
     f = random_series(random.Random(1), p, max_len=20, min_len=12)
     g = random_series(random.Random(2), p, max_len=10, min_len=4)
     n = min(f.precision, g.precision)
-    assert f.add(g).precision == n
+    assert (f + g).precision == n
     assert (f * g).precision == n
     assert f.shift(3).precision == f.precision + 3
     assert f.derivative(4).precision == f.precision - 4
     assert f.derivative(f.precision + 2).precision == 0
     assert S(3, [0, 0, 0, 2]).pth_root().precision == 2  # ceil(4/3)
-
-
-def test_add_with_scalar():
-    f = S(5, [1, 2, 3])
-    g = S(5, [4, 4, 4])
-    assert f.add(g, 3).coeffs == ((3 + 4) % 5, (6 + 4) % 5, (9 + 4) % 5)
-    assert f.add(g, FpElement(3, 5)) == f.add(g, 3)
-    with pytest.raises(ModulusMismatch):
-        f.add(g, FpElement(1, 7))
 
 
 def test_derivative_worked_examples():
@@ -158,13 +148,6 @@ def test_modulus_mismatch_in_ops():
         S(2, [1]) + S(3, [1])
     with pytest.raises(ModulusMismatch):
         S(2, [1]) * S(3, [1])
-
-
-def test_coefficient_accessor():
-    f = S(7, [4, 5])
-    assert f.coefficient(1) == FpElement(5, 7)
-    with pytest.raises(IndexError):
-        f.coefficient(2)
 
 
 def test_parse_series_literal():
