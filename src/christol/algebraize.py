@@ -6,22 +6,25 @@ zeros included, give those on the (k+1)-digit strings through one
 transition each, and the strings with a nonzero top digit are exactly
 the base-p forms of the next indices.  Every level is cut at N entries
 and the levels grow geometrically, so N terms take fewer than 3N
-transitions for every p.
+transitions for every p.  Outputs are reduced mod p once per state, not
+once per coefficient.
 
 guess_polynomial() then searches for a nonzero Q(x, y) of bounded degree
 with Q(x, f) = 0 mod x^N: each product x^i * f^j is one column of an
-evaluation matrix, and any kernel vector is a candidate relation.  The
-kernel is solved on a few rows, O(k) for k columns, and the candidate is
-then checked against the whole input, so the answer is certified exactly
-as far as the input reaches (the returned Q annihilates the given
-truncation; more coefficients give a stronger certificate, never a
-different normalized Q).
+evaluation matrix, and a kernel vector is a candidate relation.  The
+columns are scanned on a few rows, O(k) for k columns, and the scan
+stops at the first column that depends on the ones before it; the
+candidate is then checked against the whole input, so the answer is
+certified exactly as far as the input reaches (the returned Q
+annihilates the given truncation; more coefficients give a stronger
+certificate, never a different normalized Q).
 """
 
 from .algebraic_series import BivariatePolynomial, verify_annihilation
 from .errors import NoRelationFound
+from .finite_field import ensure_prime
 from .kernel import KernelRepresentation, alpha_output, alpha_step
-from .linalg import nullspace_basis
+from .linalg import first_dependency
 from .power_series import TruncatedSeries, cauchy_product
 
 
@@ -40,9 +43,14 @@ def automatic_to_series(machine, n: int) -> TruncatedSeries:
     takes fewer than 3n transitions and holds at most 2n states at once,
     for every p, p = 65521 included, against one decimal conversion and
     O(log n) transitions per index through query().
+
+    A Dfao's output table is reduced mod p once, one entry per state (a
+    Dfao accepts outputs such as True or 1.0), so the coefficients are
+    ints in [0, p) and the series wraps them without reducing them again.
     """
     if n < 0:
         raise ValueError(f"term count must be nonnegative, got {n}")
+    p = ensure_prime(machine.p)
     if isinstance(machine, KernelRepresentation):
         start = machine.alpha0
 
@@ -53,7 +61,8 @@ def automatic_to_series(machine, n: int) -> TruncatedSeries:
             return [alpha_output(machine, a) for a in states]
 
     else:
-        start, delta, tau = machine.start, machine.delta, machine.tau
+        start, delta = machine.start, machine.delta
+        tau = [int(t) % p for t in machine.tau]
 
         def advance(states, d):
             return [delta[s][d] for s in states]
@@ -65,12 +74,12 @@ def automatic_to_series(machine, n: int) -> TruncatedSeries:
     coeffs = outputs(reached)[:n]
     while len(coeffs) < n:
         level, reached = reached, []
-        for d in range(machine.p):
+        for d in range(p):
             if len(reached) >= n:
                 break
             reached += advance(level[: n - len(reached)], d)
         coeffs += outputs(reached[len(level):])
-    return TruncatedSeries(machine.p, coeffs)
+    return TruncatedSeries._of(p, tuple(coeffs))
 
 
 def guess_polynomial(f: TruncatedSeries, dx: int, dy: int) -> BivariatePolynomial:
@@ -85,12 +94,16 @@ def guess_polynomial(f: TruncatedSeries, dx: int, dy: int) -> BivariatePolynomia
 
     The relation is found on the first r = 2k+8 rows, k = (dx+1)*(dy+1)
     the number of columns, and certified on all of them; r doubles until
-    the certificate holds.  The result is still the first reduced row
-    echelon kernel vector of the whole matrix: the columns before its
-    free column are independent on r rows, hence on all rows, so a vector
-    that passes the full check is the unique dependency of that column
-    on them.  A sub-system with no kernel settles NoRelationFound, since
-    more rows only shrink the kernel.
+    the certificate holds.  On r rows the columns are scanned in (j, i)
+    order, and the scan stops at the first column that depends on the
+    ones before it: that is the first free column, and its dependency is
+    the first reduced row echelon kernel vector, so the later columns
+    need no elimination.  The result is still that vector for the whole
+    matrix: the columns before its free column are independent on r
+    rows, hence on all rows, so a vector that passes the full check is
+    the unique dependency of that column on them.  A sub-system with no
+    dependent column settles NoRelationFound, since more rows only
+    shrink the kernel.
     """
     if dx < 0 or dy < 1:
         raise ValueError(f"degree bounds must have dx >= 0 and dy >= 1, got ({dx}, {dy})")
@@ -111,10 +124,9 @@ def guess_polynomial(f: TruncatedSeries, dx: int, dy: int) -> BivariatePolynomia
             if j:
                 power = cauchy_product(power, f.coeffs, p, r)
             columns += [(0,) * i + power[: r - i] for i in range(dx + 1)]
-        kernel = nullspace_basis(list(zip(*columns)), p, k)
-        if not kernel:
+        vec = first_dependency(columns, p)
+        if vec is None:
             raise NoRelationFound(f"no relation within degree bounds ({dx}, {dy})")
-        vec = kernel[0]
         lead = next(v for v in vec if v)
         inv = pow(lead, p - 2, p)
         terms = {}

@@ -41,6 +41,7 @@ largest for p = 2, which has the most digits per word).
 """
 
 import json
+import reprlib
 from dataclasses import dataclass
 
 from .errors import MalformedNumber, SchemaError, StateCapExceeded
@@ -351,7 +352,9 @@ def dfao_to_json(a: Dfao) -> str:
 
 def dfao_from_json(text: str) -> Dfao:
     """Parse and validate a dfao-v1 document; every violation is a
-    SchemaError."""
+    SchemaError.  Messages show offending values through reprlib, cut to
+    a few dozen characters, so a deeply nested or huge value cannot
+    flood the one-line error."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -361,13 +364,13 @@ def dfao_from_json(text: str) -> Dfao:
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
     if doc.get("format") != FORMAT_TAG:
-        raise SchemaError(f"unknown format tag {doc.get('format')!r}")
+        raise SchemaError(f"unknown format tag {reprlib.repr(doc.get('format'))}")
     if doc.get("digit_order") != "lsd":
-        raise SchemaError(f"unsupported digit order {doc.get('digit_order')!r}")
+        raise SchemaError(f"unsupported digit order {reprlib.repr(doc.get('digit_order'))}")
     p = doc.get("p")
     if not isinstance(p, int) or isinstance(p, bool):
         # checked before ensure_prime, whose cache cannot hash a list
-        raise SchemaError(f"bad modulus: modulus must be an int, got {p!r}")
+        raise SchemaError(f"bad modulus: modulus must be an int, got {reprlib.repr(p)}")
     try:
         ensure_prime(p)
     except ValueError as exc:
@@ -378,7 +381,7 @@ def dfao_from_json(text: str) -> Dfao:
     n = len(states)
     start = doc.get("start")
     if not isinstance(start, int) or isinstance(start, bool) or not 0 <= start < n:
-        raise SchemaError(f"start {start!r} outside [0, {n})")
+        raise SchemaError(f"start {reprlib.repr(start)} outside [0, {n})")
     delta = []
     tau = []
     for idx, entry in enumerate(states):
@@ -386,13 +389,13 @@ def dfao_from_json(text: str) -> Dfao:
             raise SchemaError(f"state {idx} must be an object")
         out = entry.get("output")
         if not isinstance(out, int) or isinstance(out, bool) or not 0 <= out < p:
-            raise SchemaError(f"state {idx} output {out!r} outside [0, {p})")
+            raise SchemaError(f"state {idx} output {reprlib.repr(out)} outside [0, {p})")
         nxt = entry.get("next")
         if not isinstance(nxt, list) or len(nxt) != p:
             raise SchemaError(f"state {idx} next-array length must be {p}")
         for t in nxt:
             if not isinstance(t, int) or isinstance(t, bool) or not 0 <= t < n:
-                raise SchemaError(f"state {idx} transition {t!r} outside [0, {n})")
+                raise SchemaError(f"state {idx} transition {reprlib.repr(t)} outside [0, {n})")
         tau.append(out)
         delta.append(tuple(nxt))
     return Dfao(p=p, start=start, delta=tuple(delta), tau=tuple(tau))

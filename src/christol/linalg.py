@@ -1,11 +1,12 @@
 """Dense linear algebra over F_p on plain sequences of residues.
 
 SpanTracker is the one elimination: is a vector a combination of those
-kept so far?  The section closure asks it of truncated sections;
-nullspace_basis asks it of guess_polynomial's columns x^i * f^j, which
-have thousands of entries.  Its echelon rows stay in insertion order,
-each reduced only against the rows before it, so one pass in order
-reduces a vector and a vector outside the span joins it in that pass.
+kept so far?  The section closure asks it of truncated sections; the
+column scan behind first_dependency and nullspace_basis asks it of
+matrix columns, such as guess_polynomial's columns x^i * f^j.  Its
+echelon rows stay in insertion order, each reduced only against the
+rows before it, so one pass in order reduces a vector and a vector
+outside the span joins it in that pass.
 """
 
 
@@ -82,27 +83,16 @@ class SpanTracker:
         return None
 
 
-def rank(vectors, p: int, width: int) -> int:
-    """Rank of the given vectors over F_p."""
-    tracker = SpanTracker(p, width)
-    for v in vectors:
-        tracker.append(v)
-    return tracker.size
-
-
-def nullspace_basis(rows, p: int, ncols: int):
-    """Deterministic basis of the right kernel of the matrix given by rows.
-
-    Scans the columns left to right: an independent column joins the
-    span, and a dependent column c gives the basis vector with 1 at c and
-    minus its coordinates at the earlier independent columns.  That is
-    the reduced row echelon basis, one vector per free column in order.
-    """
-    tracker = SpanTracker(p, len(rows))
+def _dependencies(columns, p: int, height: int, ncols: int):
+    """Scan the columns, each of the given height, left to right: an
+    independent column joins the span, and a dependent column c yields
+    the kernel vector with 1 at c and minus its coordinates at the
+    earlier independent columns.  Lazy, so a caller that stops early
+    stops the elimination with it."""
+    tracker = SpanTracker(p, height)
     members = []  # column index of each tracker member
-    basis = []
-    for c in range(ncols):
-        coords = tracker.append([row[c] for row in rows])
+    for c, col in enumerate(columns):
+        coords = tracker.append(col)
         if coords is None:
             members.append(c)
             continue
@@ -110,5 +100,27 @@ def nullspace_basis(rows, p: int, ncols: int):
         v[c] = 1
         for m, x in zip(members, coords):
             v[m] = -x % p
-        basis.append(tuple(v))
-    return basis
+        yield tuple(v)
+
+
+def first_dependency(columns, p: int):
+    """The first reduced row echelon kernel vector of the matrix with
+    these columns, or None if they are independent.
+
+    The scan stops at the first column that depends on the ones before
+    it.  That column is the first free column, and its vector involves
+    only the columns before it, so it equals nullspace_basis(...)[0]
+    without the elimination of the later columns.
+    """
+    height = len(columns[0]) if columns else 0
+    return next(_dependencies(columns, p, height, len(columns)), None)
+
+
+def nullspace_basis(rows, p: int, ncols: int):
+    """Deterministic basis of the right kernel of the matrix given by rows.
+
+    The column scan of first_dependency, run to the end: one vector per
+    free column in order, which is the reduced row echelon basis.
+    """
+    columns = ([row[c] for row in rows] for c in range(ncols))
+    return list(_dependencies(columns, p, len(rows), ncols))

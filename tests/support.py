@@ -18,6 +18,7 @@ from christol import (
     TruncatedSeries,
 )
 from christol.algebraic_series import _start_coefficient
+from christol.linalg import SpanTracker
 
 
 def parity(n: int) -> int:
@@ -189,6 +190,14 @@ def byte_identity_cases(rng):
     for p in (3, 5, 7):
         cases.append((p, f"(1+{(p - 4) % p}*x)*y^2 + {p - 1}", "1"))
     return cases
+
+
+def rank(vectors, p: int, width: int) -> int:
+    """Rank of the given vectors over F_p, by SpanTracker."""
+    tracker = SpanTracker(p, width)
+    for v in vectors:
+        tracker.append(v)
+    return tracker.size
 
 
 def rref_nullspace_basis(rows, p: int, ncols: int):

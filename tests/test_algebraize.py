@@ -23,6 +23,7 @@ from christol import (
 )
 from christol import algebraize
 from christol.examples import all_ones_spec, central_binomial_spec, shipped_specs, thue_morse_spec
+from christol.linalg import SpanTracker
 from support import full_matrix_guess
 
 
@@ -114,6 +115,15 @@ def test_automatic_to_series_cuts_every_level_at_n():
     assert f.coeffs == tuple(query(m, str(j)) for j in range(300))
 
 
+def test_automatic_to_series_reduces_outputs_to_ints():
+    # a Dfao accepts True and 2.0 as outputs; the series holds ints
+    m = Dfao(3, 0, ((1, 2, 0), (1, 1, 2), (0, 2, 1)), (True, 2.0, 0))
+    f = automatic_to_series(m, 100)
+    assert all(type(c) is int for c in f.coeffs)
+    assert f.coeffs == tuple(int(query(m, str(j))) for j in range(100))
+    assert set(f.coeffs) == {0, 1, 2}
+
+
 def test_guess_all_ones():
     f = TruncatedSeries(2, (1,) * 8)
     q = guess_polynomial(f, 1, 1)
@@ -195,15 +205,15 @@ def outcome(guess, f, dx, dy):
 
 @pytest.fixture
 def row_counts(monkeypatch):
-    """Row count of every nullspace_basis call guess_polynomial makes."""
+    """Row count of every column scan guess_polynomial makes."""
     counts = []
-    nullspace_basis = algebraize.nullspace_basis
+    first_dependency = algebraize.first_dependency
 
-    def counting(rows, p, ncols):
-        counts.append(len(rows))
-        return nullspace_basis(rows, p, ncols)
+    def counting(columns, p):
+        counts.append(len(columns[0]))
+        return first_dependency(columns, p)
 
-    monkeypatch.setattr(algebraize, "nullspace_basis", counting)
+    monkeypatch.setattr(algebraize, "first_dependency", counting)
     return counts
 
 
@@ -263,6 +273,33 @@ def test_guess_solves_on_2k_plus_8_rows(row_counts):
     f = expand_branch(thue_morse_spec(), 4096)
     assert guess_polynomial(f, 3, 2) == thue_morse_spec().q
     assert row_counts == [2 * 12 + 8]
+
+
+def test_guess_stops_the_scan_at_the_first_dependent_column(monkeypatch, row_counts):
+    append = SpanTracker.append
+    appends = []
+
+    def counting(self, vec):
+        appends.append(len(vec))
+        return append(self, vec)
+
+    monkeypatch.setattr(SpanTracker, "append", counting)
+    for _, spec in shipped_specs():
+        # slack bounds: the relation's free column comes well before the last
+        dx, dy = spec.q.dx + 2, spec.q.dy + 1
+        f = expand_branch(spec, 512)
+        appends.clear()
+        row_counts.clear()
+        q = guess_polynomial(f, dx, dy)
+        assert row_counts == [2 * (dx + 1) * (dy + 1) + 8]
+        # the free column holds the last nonzero coefficient in (j, i) order
+        free = max(
+            j * (dx + 1) + i
+            for i in range(q.dx + 1)
+            for j in range(q.dy + 1)
+            if q.coefficient(i, j)
+        )
+        assert len(appends) == free + 1 < (dx + 1) * (dy + 1)
 
 
 def test_guess_on_full_rank_stops_at_the_first_subsystem(row_counts):

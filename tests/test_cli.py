@@ -349,6 +349,23 @@ def test_query_malformed_document(capsys, tmp_path):
         assert err.startswith("error:") and err.count("\n") == 1, err[:80]
 
 
+def test_query_error_line_is_bounded(capsys, tmp_path):
+    # the offending value is shown cut short: a modulus nested 990 lists
+    # deep, a 4000-digit start state and a 4000-digit modulus
+    good = '{"format":"dfao-v1","p":2,"digit_order":"lsd","start":0,"states":[{"output":1,"next":[0,0]}]}'
+    bad = tmp_path / "bad.json"
+    for text in (
+        good.replace('"p":2', '"p":' + "[" * 990 + "2" + "]" * 990),
+        good.replace('"start":0', '"start":' + "7" * 4000),
+        good.replace('"p":2', '"p":' + "7" * 4000),
+    ):
+        bad.write_text(text)
+        code, out, err = run(capsys, "query", "--automaton", str(bad), "--n", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err[:80]
+        assert len(err) < 200, err[:80]
+
+
 def test_algebraize(capsys, tmp_path):
     series_file = tmp_path / "ones.txt"
     series_file.write_text("1,1,1,1,1,1,1,1\n")

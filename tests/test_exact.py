@@ -26,8 +26,8 @@ from christol import (
 from christol import algebraic_series, automaton, cli, kernel
 from christol.cli import cli_main
 from christol.examples import central_binomial_spec, thue_morse_spec
-from christol.linalg import rank
 from support import (
+    rank,
     close_roots_case,
     random_separable_spec,
     random_singular_spec,

@@ -20,9 +20,8 @@ from christol import (
     section,
 )
 from christol import kernel
-from christol.linalg import rank
 from christol.examples import all_ones_spec, central_binomial_spec, shipped_specs, thue_morse_spec
-from support import base_digits, random_separable_spec
+from support import base_digits, random_separable_spec, rank
 
 
 def test_parity_closure_is_two_dimensional():

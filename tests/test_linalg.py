@@ -5,8 +5,8 @@ import pytest
 from christol import algebraize, expand_branch, guess_polynomial, orbit_closure
 from christol.errors import NoRelationFound
 from christol.examples import shipped_specs, thue_morse_spec
-from christol.linalg import SpanTracker, nullspace_basis, rank
-from support import rref_nullspace_basis
+from christol.linalg import SpanTracker, first_dependency, nullspace_basis
+from support import rank, rref_nullspace_basis
 
 
 def test_tracker_membership_and_coordinates():
@@ -190,11 +190,11 @@ def test_nullspace_matches_rref_reference_on_random_matrices():
 def test_nullspace_matches_rref_reference_on_evaluation_matrices(monkeypatch):
     seen = []
 
-    def recording(rows, p, ncols):
-        seen.append((rows, p, ncols))
-        return nullspace_basis(rows, p, ncols)
+    def recording(columns, p):
+        seen.append((columns, p))
+        return first_dependency(columns, p)
 
-    monkeypatch.setattr(algebraize, "nullspace_basis", recording)
+    monkeypatch.setattr(algebraize, "first_dependency", recording)
     for _, spec in shipped_specs():
         for terms in (16, 64, 512, 2048):
             f = expand_branch(spec, terms)
@@ -206,5 +206,9 @@ def test_nullspace_matches_rref_reference_on_evaluation_matrices(monkeypatch):
                 except NoRelationFound:
                     pass
     assert len(seen) == 51
-    for rows, p, ncols in seen:
-        assert nullspace_basis(rows, p, ncols) == rref_nullspace_basis(rows, p, ncols)
+    for columns, p in seen:
+        ncols = len(columns)
+        rows = [list(row) for row in zip(*columns)]
+        expect = rref_nullspace_basis(rows, p, ncols)
+        assert first_dependency(columns, p) == (expect[0] if expect else None)
+        assert nullspace_basis(rows, p, ncols) == expect
