@@ -175,11 +175,9 @@ class _Parser:
     # in a BivariatePolynomial, since intermediates (like "(1+x)") need
     # not involve y.
 
-    def __init__(self, text: str, p: int, max_dx: int, max_dy: int):
+    def __init__(self, text: str, p: int):
         self.text = text
         self.p = p
-        self.max_dx = max_dx
-        self.max_dy = max_dy
         self.pos = 0
 
     def _skip_ws(self):
@@ -206,10 +204,9 @@ class _Parser:
 
     def _check_degrees(self, poly):
         for i, j in poly:
-            if i > self.max_dx or j > self.max_dy:
-                raise DegreeOverflow(
-                    f"term x^{i}*y^{j} exceeds degree caps ({self.max_dx}, {self.max_dy})"
-                )
+            if max(i, j) > DEFAULT_DEGREE_CAP:
+                cap = DEFAULT_DEGREE_CAP
+                raise DegreeOverflow(f"term x^{i}*y^{j} exceeds degree caps ({cap}, {cap})")
 
     def _mul(self, a, b):
         out = {}
@@ -298,20 +295,16 @@ class _Parser:
         self._fail(f"unexpected character {ch!r}")
 
 
-def parse_bivariate(
-    text: str,
-    p: int,
-    max_dx: int = DEFAULT_DEGREE_CAP,
-    max_dy: int = DEFAULT_DEGREE_CAP,
-) -> BivariatePolynomial:
+def parse_bivariate(text: str, p: int) -> BivariatePolynomial:
     """Parse polynomial text over F_p into a BivariatePolynomial.
 
     Raises PolynomialSyntaxError (with offset) on malformed text,
-    DegreeOverflow past the caps, and ValueError if the result does not
-    involve y.
+    DegreeOverflow where a term, also an intermediate one, has x- or
+    y-degree above DEFAULT_DEGREE_CAP, and ValueError if the result does
+    not involve y.
     """
     ensure_prime(p)
-    terms = _Parser(text, p, max_dx, max_dy).parse()
+    terms = _Parser(text, p).parse()
     return BivariatePolynomial.from_dict(p, terms)
 
 

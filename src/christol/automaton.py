@@ -3,7 +3,7 @@
 A Dfao reads the base-p digits of n least significant first and emits
 the residue tau(final state); for the machines built here that residue
 is the n-th coefficient of an algebraic series.  Two constructions are
-provided and deliberately kept independent of each other:
+provided:
 
   * dfao_from_linear() walks the reachable row vectors of a
     KernelRepresentation; the CLI builds every machine this way, from
@@ -12,16 +12,21 @@ provided and deliberately kept independent of each other:
     per distinct truncated series; it is kept only as an independent
     oracle for the tests, acceptance criterion 5 and the selftest.
 
+Both run through _walk(), which numbers the states breadth-first with
+digits ascending; minimize() renumbers its classes through it too.
+Nothing else is shared: the states, steps and outputs are row vectors
+under the digit matrices in the one, truncated series under sections in
+the other.  So their agreement checks what they compute, not the
+numbering, which the tests pin with recorded dfao-v1 text.
+
 The linear machine of a minimal representation is minimal, so the CLI
 never calls minimize(): the representation is observable, so distinct
-row vectors differ in their output after some digit string, all states
-are reachable, and minimize() too numbers breadth-first with digits
-ascending.  The same holds for a closure whose basis is independent at
-n_eq: as section_d(z) = M[d] z mod x^n_eq for the basis series z, state
-alpha outputs [x^n](alpha . z) on the digits of every n < n_eq, so
-distinct states differ at some n.  Both walks are breadth-first with
-digits ascending, so on a correct closure the linear machine and the
-orbit machine agree state for state.
+row vectors differ in their output after some digit string, and all
+states are reachable.  The same holds for a closure whose basis is
+independent at n_eq: as section_d(z) = M[d] z mod x^n_eq for the basis
+series z, state alpha outputs [x^n](alpha . z) on the digits of every
+n < n_eq, so distinct states differ at some n.  So on a correct closure
+the linear machine and the orbit machine agree state for state.
 
 Least-significant-first digit order makes trailing zeros of the input
 harmless by construction: delta(s, 0) fixes tau, so "6", "06" and "0006"
@@ -97,69 +102,65 @@ class Dfao:
         return all(self.tau[row[0]] == self.tau[s] for s, row in enumerate(self.delta))
 
 
+def _walk(p: int, first, step, output, max_states: int, what: str) -> Dfao:
+    """The machine of the states reachable from first, where step(s, d)
+    is the state after digit d and output(s) the output of s.  States
+    are hashable keys, numbered breadth-first with digits ascending, so
+    the numbering is canonical.  StateCapExceeded past max_states
+    states."""
+    ids = {first: 0}
+    states = [first]
+    delta = []
+    for s in states:
+        row = []
+        for d in range(p):
+            child = step(s, d)
+            sid = ids.get(child)
+            if sid is None:
+                if len(states) >= max_states:
+                    raise StateCapExceeded(f"{what} exceed {max_states}")
+                sid = ids[child] = len(states)
+                states.append(child)
+            row.append(sid)
+        delta.append(tuple(row))
+    return Dfao(p=p, start=0, delta=tuple(delta), tau=tuple(map(output, states)))
+
+
 def build_dfao(spec, cfg: ClosureConfig | None = None) -> Dfao:
     """Orbit automaton of the series defined by spec.
 
     States are the distinct iterated sections (compared at cfg.n_eq
     coefficients), the start state is the series itself, transitions are
-    sections, outputs are constant terms.  Breadth-first, digits
-    ascending, so state numbering is canonical.
+    sections, outputs are constant terms.
     """
     cfg = cfg or ClosureConfig()
-    p = spec.p
     expander = PathExpander(spec)
-    start = expander.series((), cfg.n_eq).truncate(cfg.n_eq)
-    ids = {start.coeffs: 0}
-    paths = [()]
-    taus = [start.coeffs[0]]
-    delta = []
-    i = 0
-    while i < len(paths):
-        row = []
-        for d in range(p):
-            child_path = paths[i] + (d,)
-            child = expander.series(child_path, cfg.n_eq).truncate(cfg.n_eq)
-            sid = ids.get(child.coeffs)
-            if sid is None:
-                if len(paths) >= cfg.max_states:
-                    raise StateCapExceeded(f"orbit exceeds {cfg.max_states} states")
-                sid = len(paths)
-                ids[child.coeffs] = sid
-                paths.append(child_path)
-                taus.append(child.coeffs[0])
-            row.append(sid)
-        delta.append(tuple(row))
-        i += 1
-    return Dfao(p=p, start=0, delta=tuple(delta), tau=tuple(taus))
+    first = expander.series((), cfg.n_eq).truncate(cfg.n_eq).coeffs
+    paths = {first: ()}  # each state's coefficients -> the path that found it
+
+    def step(coeffs, d):
+        path = paths[coeffs] + (d,)
+        child = expander.series(path, cfg.n_eq).truncate(cfg.n_eq).coeffs
+        paths.setdefault(child, path)
+        return child
+
+    return _walk(spec.p, first, step, lambda coeffs: coeffs[0], cfg.max_states, "orbit states")
 
 
 def dfao_from_linear(rep: KernelRepresentation, max_states: int = DEFAULT_MAX_STATES) -> Dfao:
     """Automaton over the reachable row vectors of the linear machine.
 
     States are the alpha vectors reachable from alpha0 under the digit
-    matrices, numbered in breadth-first order; the output of alpha is
-    alpha . b0.
+    matrices; the output of alpha is alpha . b0.
     """
-    ids = {rep.alpha0: 0}
-    alphas = [rep.alpha0]
-    delta = []
-    i = 0
-    while i < len(alphas):
-        row = []
-        for d in range(rep.p):
-            child = alpha_step(rep, alphas[i], d)
-            sid = ids.get(child)
-            if sid is None:
-                if len(alphas) >= max_states:
-                    raise StateCapExceeded(f"reachable vectors exceed {max_states}")
-                sid = len(alphas)
-                ids[child] = sid
-                alphas.append(child)
-            row.append(sid)
-        delta.append(tuple(row))
-        i += 1
-    taus = tuple(alpha_output(rep, a) for a in alphas)
-    return Dfao(p=rep.p, start=0, delta=tuple(delta), tau=taus)
+    return _walk(
+        rep.p,
+        rep.alpha0,
+        lambda alpha, d: alpha_step(rep, alpha, d),
+        lambda alpha: alpha_output(rep, alpha),
+        max_states,
+        "reachable vectors",
+    )
 
 
 def minimize(a: Dfao) -> Dfao:
@@ -167,9 +168,8 @@ def minimize(a: Dfao) -> Dfao:
     string: Moore partition refinement over every state, starting from
     the partition by tau, then the classes reachable from the start.  A
     state's class depends only on the states it reaches, so unreachable
-    states split no reachable ones.  State numbering of the result is
-    breadth-first from the start state, so isomorphic inputs minimize to
-    equal machines.
+    states split no reachable ones.  The result is numbered by _walk(),
+    so isomorphic inputs minimize to equal machines.
     """
     cls = a.tau
     while True:
@@ -183,18 +183,17 @@ def minimize(a: Dfao) -> Dfao:
             break
         cls = fresh
 
-    # canonical numbering: BFS over classes, each represented by the
-    # first state that reaches it
-    renum = {cls[a.start]: 0}
-    reps = [a.start]
-    for s in reps:
-        for t in a.delta[s]:
-            if cls[t] not in renum:
-                renum[cls[t]] = len(renum)
-                reps.append(t)
-    delta = tuple(tuple(renum[cls[t]] for t in a.delta[s]) for s in reps)
-    tau = tuple(a.tau[s] for s in reps)
-    return Dfao(p=a.p, start=0, delta=delta, tau=tau)
+    # any state of a class stands for it: they agree on tau and on the
+    # classes they reach
+    member = {c: s for s, c in enumerate(cls)}
+    return _walk(
+        a.p,
+        cls[a.start],
+        lambda c, d: cls[a.delta[member[c]][d]],
+        lambda c: a.tau[member[c]],
+        len(member),
+        "classes",
+    )
 
 
 # Leaf chunks of the decimal parse stay below 640 digits, the lowest

@@ -114,7 +114,7 @@ def _selftest_suite(name, spec, oracle, limit, expect_states, to_base):
                  f"{'ok' if bad == 0 else f'{bad} FAIL'}")
     if bad:
         ok = False
-    if not recheck(rep, spec, 2):
+    if not recheck(rep, spec):
         ok = False
         lines.append(f"{name}: recheck at doubled precision: FAIL")
     else:

@@ -22,9 +22,14 @@ results that are linearly independent of what came before, and record
 the coordinates of the rest.  All comparisons happen at a fixed
 truncation precision n_eq.  That makes the closure a certificate at
 precision n_eq, not a proof; recheck() re-derives every stored
-relation at a strictly larger precision to catch truncation accidents.
+relation at twice that precision to catch truncation accidents.
 Basis elements remember the digit path that produced them, so any of
 them can be recomputed from the defining polynomial at any precision.
+
+Both constructions close a span with the same breadth-first search,
+_span_closure(), which fixes the order of the basis.  They share nothing
+else: the exact route closes polynomial coordinates under the maps T_r,
+the oracle the coefficients of truncated series under sections.
 """
 
 from dataclasses import dataclass
@@ -134,46 +139,32 @@ class KernelRepresentation:
 def orbit_closure(spec: BranchSpec, cfg: ClosureConfig | None = None) -> KernelRepresentation:
     """Breadth-first section closure of the series defined by spec.
 
-    Basis elements are adopted in first-seen order (paths shortest first,
-    digits ascending), which makes the result canonical: two runs on the
-    same spec and config build identical representations.
+    _span_closure() runs over the coefficients of the truncated series,
+    so basis elements are adopted in first-seen order (paths shortest
+    first, digits ascending), which makes the result canonical: two runs
+    on the same spec and config build identical representations.
     """
     cfg = cfg or ClosureConfig()
-    p = spec.p
+    p, n_eq = spec.p, cfg.n_eq
     expander = PathExpander(spec)
-    tracker = SpanTracker(p, cfg.n_eq)
 
-    basis = []
-    rows = [[] for _ in range(p)]  # rows[d][i] = coords of section(z_i, d)
+    def images(_coeffs, path):
+        # lazy, so the cap is checked before the next section is expanded
+        return (expander.series(path + (d,), n_eq).truncate(n_eq).coeffs for d in range(p))
 
-    def adopt(path):
-        """Coordinates of the series at path, adopting it if independent."""
-        s = expander.series(path, cfg.n_eq).truncate(cfg.n_eq)
-        coords = tracker.append(s.coeffs)
-        if coords is None:
-            if len(basis) >= cfg.max_states:
-                raise StateCapExceeded(
-                    f"section closure exceeds {cfg.max_states} basis elements"
-                )
-            basis.append(BasisElement(path, s))
-            coords = (0,) * (len(basis) - 1) + (1,)
-        return coords
-
-    alpha0 = adopt(())
-    i = 0
-    while i < len(basis):
-        for d in range(p):
-            rows[d].append(adopt(basis[i].path + (d,)))
-        i += 1
-
-    m = len(basis)
+    first = expander.series((), n_eq).truncate(n_eq).coeffs
+    members, paths, rows = _span_closure(p, first, images, cfg.max_states)
+    m = len(members)
     matrices = tuple(
         tuple(tuple(row) + (0,) * (m - len(row)) for row in rows[d]) for d in range(p)
     )
-    b0 = tuple(el.series.coeffs[0] for el in basis)
-    alpha0 += (0,) * (m - len(alpha0))
     return KernelRepresentation(
-        p=p, basis=tuple(basis), matrices=matrices, b0=b0, alpha0=alpha0, n_eq=cfg.n_eq
+        p=p,
+        basis=tuple(BasisElement(path, TruncatedSeries._of(p, c)) for path, c in zip(paths, members)),
+        matrices=matrices,
+        b0=tuple(c[0] for c in members),
+        alpha0=(1,) + (0,) * (m - 1) if m else (),
+        n_eq=n_eq,
     )
 
 
@@ -201,8 +192,8 @@ def alpha_output(rep: KernelRepresentation, alpha) -> int:
     return sum(a * b for a, b in zip(alpha, rep.b0)) % rep.p
 
 
-def recheck(rep: KernelRepresentation, spec: BranchSpec, factor: int = 2) -> bool:
-    """Re-verify every stored relation at factor * n_eq coefficients.
+def recheck(rep: KernelRepresentation, spec: BranchSpec) -> bool:
+    """Re-verify every stored relation at 2 * n_eq coefficients.
 
     Expands the root once, far enough for the deepest basis path, takes
     each basis series from it by sections, and replays the basis
@@ -211,9 +202,7 @@ def recheck(rep: KernelRepresentation, spec: BranchSpec, factor: int = 2) -> boo
     representation was tampered with); True upgrades the certificate to
     the larger precision.
     """
-    if factor < 2:
-        raise ValueError(f"recheck factor must be at least 2, got {factor}")
-    big = factor * rep.n_eq
+    big = 2 * rep.n_eq
     depth = max((len(el.path) for el in rep.basis), default=0)
     try:
         # p*big coefficients at the deepest path, so each section keeps >= big
@@ -271,7 +260,9 @@ def _apply(rows, col, p: int) -> tuple:
 
 def _span_closure(p: int, first, images, max_states: int | None = None):
     """Breadth-first closure of span(first) under p linear maps, digits
-    ascending; images(v) lists the images of v under maps 0..p-1.
+    ascending; images(v, path) lists the images under maps 0..p-1 of the
+    member v, which the maps in path take first to.  Vectors are
+    residues in [0, p).
 
     Returns (members, paths, rows): the members kept, the maps that
     take first to each (in the order applied), and rows[r][i], the
@@ -294,7 +285,7 @@ def _span_closure(p: int, first, images, max_states: int | None = None):
     adopt(first, ())
     i = 0
     while i < len(members):
-        for r, image in enumerate(images(members[i])):
+        for r, image in enumerate(images(members[i], paths[i])):
             rows[r].append(adopt(image, paths[i] + (r,)))
         i += 1
     return members, paths, rows
@@ -364,7 +355,7 @@ def exact_representation(spec: BranchSpec, max_states: int = DEFAULT_MAX_STATES)
             for b in range((p - 1 - Y) % p, d + 1, p):
                 terms[b].append((X, (Y + b) // p, w))
 
-    def images(vec):
+    def images(vec, _path):
         """T_0 vec, ..., T_(p-1) vec."""
         out = [[0] * len(vec) for _ in range(p)]
         for idx, c in enumerate(vec):
@@ -395,7 +386,7 @@ def exact_representation(spec: BranchSpec, max_states: int = DEFAULT_MAX_STATES)
     # the observable quotient: columns M_w * b0 for digit strings w, the
     # last digit applied first; cols[r][i] = coordinates of M_r u_i
     columns, paths, cols = _span_closure(
-        p, b0, lambda col: [_apply(rows[r], col, p) for r in range(p)], max_states
+        p, b0, lambda col, _path: [_apply(rows[r], col, p) for r in range(p)], max_states
     )
     m = len(columns)
     matrices = tuple(

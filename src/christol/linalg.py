@@ -23,7 +23,8 @@ class SpanTracker:
     append(vec) decides and adopts in one reduction: it returns vec's
     coordinates if vec lies in the span, and otherwise makes vec the next
     member and returns None.  coordinates(vec) is the same query without
-    adopting.
+    adopting.  Every vec holds residues in [0, p): it is copied, not
+    reduced again.
     """
 
     def __init__(self, p: int, width: int):
@@ -39,7 +40,7 @@ class SpanTracker:
         every pivot column."""
         if len(vec) != self.width:
             raise ValueError(f"expected width {self.width}, got {len(vec)}")
-        v = [x % self.p for x in vec]
+        v = list(vec)
         cs = []
         for row, piv in zip(self._rows, self._pivots):
             c = v[piv]
@@ -105,7 +106,7 @@ def _dependencies(columns, p: int, height: int, ncols: int):
 
 def first_dependency(columns, p: int):
     """The first reduced row echelon kernel vector of the matrix with
-    these columns, or None if they are independent.
+    these columns of residues, or None if they are independent.
 
     The scan stops at the first column that depends on the ones before
     it.  That column is the first free column, and its vector involves
@@ -120,7 +121,8 @@ def nullspace_basis(rows, p: int, ncols: int):
     """Deterministic basis of the right kernel of the matrix given by rows.
 
     The column scan of first_dependency, run to the end: one vector per
-    free column in order, which is the reduced row echelon basis.
+    free column in order, which is the reduced row echelon basis.  The
+    entries of rows may be any ints; each column is reduced mod p.
     """
-    columns = ([row[c] for row in rows] for c in range(ncols))
+    columns = ([row[c] % p for row in rows] for c in range(ncols))
     return list(_dependencies(columns, p, len(rows), ncols))

@@ -158,7 +158,7 @@ def test_criterion_7_closure_soundness():
     failures = []
     for name, spec in shipped_specs():
         rep = orbit_closure(spec)
-        if not recheck(rep, spec, 2):
+        if not recheck(rep, spec):
             failures.append(f"{name}: recheck at doubled precision failed")
         for flavor, machine in (
             ("orbit", build_dfao(spec)),

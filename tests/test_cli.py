@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -175,7 +176,7 @@ def test_automaton_at_n_eq_8_writes_the_exact_machine(capsys, tmp_path):
         assert query(machine, str(n)) == int(n % 11 == 0), n
     spec = BranchSpec(parse_bivariate(poly, 2))
     assert machine == minimize(build_dfao(spec))
-    assert not recheck(orbit_closure(spec, ClosureConfig(n_eq=8)), spec, 2)
+    assert not recheck(orbit_closure(spec, ClosureConfig(n_eq=8)), spec)
 
 
 def test_automaton_does_not_walk_the_orbit(capsys, tmp_path, monkeypatch):
@@ -244,7 +245,48 @@ def test_automaton_for_zero_roots(capsys, tmp_path):
     assert out_path.read_bytes() == written
     spec = BranchSpec(parse_bivariate("y + x^64", 2))
     assert machine == minimize(build_dfao(spec, ClosureConfig(n_eq=128)))
-    assert not recheck(orbit_closure(spec), spec, 2)
+    assert not recheck(orbit_closure(spec), spec)
+
+
+# The dfao-v1 text the CLI writes, numbered breadth-first with digits
+# ascending.  The oracles number their states the same way, so comparing
+# with them cannot catch a change of numbering; these literals can.
+RECORDED_MACHINES = [
+    (2, "(1+x)^3*y^2 + (1+x)^2*y + x", "0",
+     '{"format":"dfao-v1","p":2,"digit_order":"lsd","start":0,"states":['
+     '{"output":0,"next":[0,1]},{"output":1,"next":[1,0]}]}'),
+    (3, "(1+2*x)*y^2 + 2", "1",
+     '{"format":"dfao-v1","p":3,"digit_order":"lsd","start":0,"states":['
+     '{"output":1,"next":[0,1,2]},{"output":2,"next":[1,0,2]},{"output":0,"next":[2,2,2]}]}'),
+    (2, "(1+x)*y + 1", "",
+     '{"format":"dfao-v1","p":2,"digit_order":"lsd","start":0,"states":['
+     '{"output":1,"next":[0,0]}]}'),
+    (2, "(1+x^11)*y + 1", "",
+     '{"format":"dfao-v1","p":2,"digit_order":"lsd","start":0,"states":['
+     '{"output":1,"next":[0,1]},{"output":0,"next":[2,3]},{"output":0,"next":[4,5]},'
+     '{"output":0,"next":[6,7]},{"output":0,"next":[3,8]},{"output":0,"next":[9,4]},'
+     '{"output":0,"next":[7,0]},{"output":0,"next":[10,2]},{"output":0,"next":[5,10]},'
+     '{"output":0,"next":[1,9]},{"output":0,"next":[8,6]}]}'),
+    (2, "y + x^64", "",
+     '{"format":"dfao-v1","p":2,"digit_order":"lsd","start":0,"states":['
+     '{"output":0,"next":[1,2]},{"output":0,"next":[3,2]},{"output":0,"next":[2,2]},'
+     '{"output":0,"next":[4,2]},{"output":0,"next":[5,2]},{"output":0,"next":[6,2]},'
+     '{"output":0,"next":[7,2]},{"output":0,"next":[2,8]},{"output":1,"next":[8,2]}]}'),
+]
+
+
+def test_automaton_writes_the_recorded_machines(capsys, tmp_path):
+    out_path = tmp_path / "m.json"
+    for p, poly, seed, text in RECORDED_MACHINES:
+        argv = ["automaton", "--p", str(p), "--poly", poly, "--seed", seed, "--out", str(out_path)]
+        states = len(json.loads(text)["states"])
+        assert run(capsys, *argv) == (0, f"{states}\n", ""), poly
+        assert out_path.read_text() == text + "\n", poly
+    # 36 states over F_5, recorded by digest
+    argv = ["automaton", "--p", "5", "--poly", "(2+x)*y^2 + (1+x^2)*y + x", "--seed", "0"]
+    assert run(capsys, *argv, "--out", str(out_path)) == (0, "36\n", "")
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == "f81b7613369aacec291bd2b929cef25d0665528ac29559e58a7bef50b27d8d5b"
 
 
 def test_query_round_trip(capsys, tmp_path):
@@ -426,12 +468,22 @@ def test_stdout_is_deterministic(capsys, tmp_path):
 
 def test_selftest(capsys):
     code, out, err = run(capsys, "selftest")
-    assert code == 0
-    assert err == ""
-    assert out.rstrip().endswith("selftest: ok")
-    assert "FAIL" not in out
-    for name in ("digit-parity", "lucas", "all-ones"):
-        assert name in out
+    assert (code, err) == (0, "")
+    assert out == (
+        "digit-parity: minimized flavors agree with 2 states: ok\n"
+        "digit-parity: outputs match the oracle for n < 2048: ok\n"
+        "digit-parity: recheck at doubled precision: ok\n"
+        "digit-parity: serialization round trip: ok\n"
+        "lucas: minimized flavors agree with 3 states: ok\n"
+        "lucas: outputs match the oracle for n < 2187: ok\n"
+        "lucas: recheck at doubled precision: ok\n"
+        "lucas: serialization round trip: ok\n"
+        "all-ones: minimized flavors agree with 1 states: ok\n"
+        "all-ones: outputs match the oracle for n < 512: ok\n"
+        "all-ones: recheck at doubled precision: ok\n"
+        "all-ones: serialization round trip: ok\n"
+        "selftest: ok\n"
+    )
 
 
 def test_automaton_json_matches_library(capsys, tmp_path):

@@ -116,7 +116,6 @@ def test_recheck_passes_for_honest_representations():
     for _, spec in shipped_specs():
         rep = orbit_closure(spec)
         assert recheck(rep, spec)
-        assert recheck(rep, spec, factor=3)
 
 
 def test_recheck_rejects_tampering():
@@ -136,9 +135,6 @@ def test_recheck_rejects_tampering():
     z1, z2 = rep.basis
     mislabelled = (z1, z2._replace(series=z1.series))
     assert not recheck(dataclasses.replace(rep, basis=mislabelled), spec)
-
-    with pytest.raises(ValueError):
-        recheck(rep, spec, factor=1)
 
 
 def test_recheck_expands_the_root_once(monkeypatch):

@@ -179,6 +179,9 @@ def test_nullspace_matches_rref_reference_on_random_matrices():
         assert nullspace_basis(zero, p, 6) == rref_nullspace_basis(zero, p, 6)
         loose = [[rng.randrange(-3 * p, 3 * p) for _ in range(5)] for _ in range(3)]
         assert nullspace_basis(loose, p, 5) == rref_nullspace_basis(loose, p, 5)
+        # dependent columns, each entry moved by a multiple of p
+        shifted = [[x + p * rng.randrange(-3, 3) for x in row] for row in dependent_matrix(rng, p, 5, 8)]
+        assert nullspace_basis(shifted, p, 8) == rref_nullspace_basis(shifted, p, 8)
         full = [[rng.randrange(p) for _ in range(6)] for _ in range(6)]
         assert nullspace_basis(full, p, 6) == rref_nullspace_basis(full, p, 6)
         # the shape guess_polynomial produces: thousands of rows, few columns
