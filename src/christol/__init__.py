@@ -12,7 +12,6 @@ from .algebraic_series import (
     BivariatePolynomial,
     BranchSpec,
     expand_branch,
-    expand_rational,
     parse_bivariate,
     verify_annihilation,
 )
@@ -37,9 +36,7 @@ from .errors import (
     MalformedNumber,
     ModulusMismatch,
     NoBranch,
-    NonUnitDenominator,
     NoRelationFound,
-    NotAPthPower,
     PolynomialSyntaxError,
     SchemaError,
     StateCapExceeded,
@@ -74,9 +71,7 @@ __all__ = [
     "MalformedNumber",
     "ModulusMismatch",
     "NoBranch",
-    "NonUnitDenominator",
     "NoRelationFound",
-    "NotAPthPower",
     "PathExpander",
     "PolynomialSyntaxError",
     "SchemaError",
@@ -92,7 +87,6 @@ __all__ = [
     "ensure_prime",
     "exact_representation",
     "expand_branch",
-    "expand_rational",
     "export_dot",
     "guess_polynomial",
     "minimize",

@@ -9,7 +9,7 @@ The polynomial text format is a tiny expression language:
 
 Whitespace between tokens is ignored.  There is no unary minus and no
 implicit multiplication: write "2*x", not "2x".  Degrees are capped
-(default 64 in each variable) so a typo like x^999999 fails fast instead
+at 64 in each variable so a typo like x^999999 fails fast instead
 of allocating.
 
 expand_branch() grows the unique power series f with Q(x, f) = 0 that
@@ -29,7 +29,6 @@ from .errors import (
     DegreeOverflow,
     ModulusMismatch,
     NoBranch,
-    NonUnitDenominator,
     PolynomialSyntaxError,
 )
 from .finite_field import ensure_prime
@@ -85,15 +84,6 @@ class BivariatePolynomial:
     def dy(self) -> int:
         return len(self.coeffs[0]) - 1
 
-    def coefficient(self, i: int, j: int) -> int:
-        if 0 <= i <= self.dx and 0 <= j <= self.dy:
-            return self.coeffs[i][j]
-        return 0
-
-    def y_row(self, j: int) -> tuple:
-        """Coefficients in x of the y^j term."""
-        return tuple(self.coeffs[i][j] for i in range(self.dx + 1))
-
     def _horner(self, f: TruncatedSeries, m: int = 0) -> TruncatedSeries:
         """The m-th Hasse derivative in y at f, sum_j C(j, m) * Q_j * f**(j-m)
         with Q_j the x-coefficients of y^j, truncated at f's precision.
@@ -106,7 +96,7 @@ class BivariatePolynomial:
         for j in range(self.dy, m - 1, -1):
             if acc:
                 acc = list(cauchy_product(acc, f.coeffs, p, n))
-            row = self.y_row(j)[:n]
+            row = [r[j] for r in self.coeffs[:n]]
             acc += [0] * (len(row) - len(acc))
             w = math.comb(j, m) % p
             for i, c in enumerate(row):
@@ -518,29 +508,6 @@ def expand_branch(spec: BranchSpec, n: int) -> TruncatedSeries:
     if spec.q.dy_at_origin(a0) != 0:
         return _expand_newton(spec.q, spec.seed or (a0,), n)
     return _expand_singular(spec.q, spec.seed or (a0,), n)
-
-
-def expand_rational(p: int, numer, denom, n: int) -> TruncatedSeries:
-    """First n coefficients of numer/denom over F_p.
-
-    Coefficient lists are low-order first.  The denominator needs a
-    nonzero constant term; the expansion is the standard long-division
-    recurrence, exact at every index."""
-    ensure_prime(p)
-    if n < 0:
-        raise ValueError(f"term count must be nonnegative, got {n}")
-    a = [int(c) % p for c in numer]
-    b = [int(c) % p for c in denom]
-    if not b or b[0] == 0:
-        raise NonUnitDenominator("denominator must have a nonzero constant term")
-    inv_b0 = pow(b[0], p - 2, p)
-    out = []
-    for k in range(n):
-        acc = a[k] if k < len(a) else 0
-        for t in range(1, min(k, len(b) - 1) + 1):
-            acc -= b[t] * out[k - t]
-        out.append(acc * inv_b0 % p)
-    return TruncatedSeries(p, out)
 
 
 def verify_annihilation(q: BivariatePolynomial, f: TruncatedSeries) -> bool:

@@ -14,10 +14,6 @@ class ModulusMismatch(ChristolError):
     """Operands live over different prime fields."""
 
 
-class NotAPthPower(ChristolError):
-    """A nonzero coefficient sits at an index not divisible by p."""
-
-
 class DegreeOutOfRange(ChristolError):
     """Weeding degree outside the legal range 0 <= k < p."""
 
@@ -51,10 +47,6 @@ class NoBranch(ChristolError):
     def __init__(self, index: int):
         super().__init__(f"no coefficient {index} extends the partial solution")
         self.index = index
-
-
-class NonUnitDenominator(ChristolError):
-    """Rational expansion needs denominator with nonzero constant term."""
 
 
 class StateCapExceeded(ChristolError):

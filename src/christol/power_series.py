@@ -13,7 +13,7 @@ Instances are immutable and safe to share.
 import sys
 from array import array
 
-from .errors import ModulusMismatch, NotAPthPower
+from .errors import ModulusMismatch
 from .finite_field import ensure_prime
 
 # (slot width in bytes, array/memoryview format of that width), narrowest
@@ -106,17 +106,6 @@ class TruncatedSeries:
             p, tuple([(a + b) % p for a, b in zip(self.coeffs, other.coeffs)])
         )
 
-    def __sub__(self, other):
-        self._match(other)
-        p = self.p
-        return TruncatedSeries._of(
-            p, tuple([(a - b) % p for a, b in zip(self.coeffs, other.coeffs)])
-        )
-
-    def __neg__(self):
-        p = self.p
-        return TruncatedSeries._of(p, tuple([(-c) % p for c in self.coeffs]))
-
     def scale(self, c: int) -> "TruncatedSeries":
         p = self.p
         s = c % p
@@ -128,64 +117,12 @@ class TruncatedSeries:
         n = min(self.precision, other.precision)
         return TruncatedSeries._of(self.p, cauchy_product(self.coeffs, other.coeffs, self.p, n))
 
-    def shift(self, k: int) -> "TruncatedSeries":
-        """x**k * self.  Gains precision: the low k coefficients are exact."""
-        if k < 0:
-            raise ValueError(f"shift must be nonnegative, got {k}")
-        return TruncatedSeries._of(self.p, (0,) * k + self.coeffs)
-
-    def derivative(self, times: int = 1) -> "TruncatedSeries":
-        """times-fold formal derivative; each application costs one
-        coefficient of precision."""
-        if times < 0:
-            raise ValueError(f"derivative order must be nonnegative, got {times}")
-        p = self.p
-        coeffs = self.coeffs
-        for _ in range(times):
-            if not coeffs:
-                break
-            coeffs = tuple([j * c % p for j, c in enumerate(coeffs)][1:])
-        return TruncatedSeries._of(p, coeffs)
-
-    def pth_root(self) -> "TruncatedSeries":
-        """Termwise p-th root of a series supported on multiples of p.
-
-        Over F_p the root of each coefficient is the coefficient itself,
-        so this just decimates: result[m] = self[p*m].  Raises
-        NotAPthPower if some known nonzero coefficient sits at an index
-        not divisible by p.
-        """
-        for idx, c in enumerate(self.coeffs):
-            if c and idx % self.p:
-                raise NotAPthPower(
-                    f"nonzero coefficient at index {idx}, not a multiple of {self.p}"
-                )
-        return TruncatedSeries._of(self.p, self.coeffs[:: self.p])
-
-    def substitute_x_pow_p(self) -> "TruncatedSeries":
-        """The series self(x**p).
-
-        Every index below p*N is determined: multiples of p carry the
-        original coefficients, everything else is known to be zero.
-        """
-        out = [0] * (self.p * self.precision)
-        out[:: self.p] = self.coeffs
-        return TruncatedSeries._of(self.p, tuple(out))
-
     # -- reshaping ----------------------------------------------------
 
     def truncate(self, n: int) -> "TruncatedSeries":
         if n < 0 or n > self.precision:
             raise ValueError(f"cannot truncate precision {self.precision} to {n}")
         return TruncatedSeries._of(self.p, self.coeffs[:n])
-
-    def pad_to(self, n: int) -> "TruncatedSeries":
-        """Extend with explicit zeros.  Only meaningful when the caller
-        knows the series is an exact polynomial, since this raises the
-        claimed precision."""
-        if n <= self.precision:
-            return self
-        return TruncatedSeries._of(self.p, self.coeffs + (0,) * (n - self.precision))
 
     # -- plumbing -----------------------------------------------------
 

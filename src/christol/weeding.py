@@ -19,7 +19,7 @@ as the section directly; weed_via_derivative() keeps the calculus route
 alive as an independent cross-check.
 """
 
-from .errors import DegreeOutOfRange, NotAPthPower
+from .errors import DegreeOutOfRange
 from .power_series import TruncatedSeries
 
 
@@ -46,19 +46,24 @@ def weed(f: TruncatedSeries, k: int) -> TruncatedSeries:
 
 
 def weed_via_derivative(f: TruncatedSeries, k: int) -> TruncatedSeries:
-    """Weeding of degree k computed the long way:
-
-        pth_root(-(x^k * f)^(p-1 derivatives)).
+    """Weeding of degree k computed the long way, on coefficient tuples:
+    multiply by x^k, take p-1 derivatives (each costs one coefficient),
+    negate, and take the termwise p-th root, which over F_p just
+    decimates.
 
     Agrees with weed(f, k) coefficient for coefficient, including the
     resulting precision.  Kept as a differential-testing oracle for the
-    fast path; a NotAPthPower escaping from here would mean the algebra
-    above is wrong, so it is converted to a hard failure.
+    fast path; a nonzero coefficient off the multiples of p before the
+    p-th root would mean the algebra above is wrong, so it is a hard
+    failure.
     """
-    if not 0 <= k < f.p:
-        raise DegreeOutOfRange(f"weeding degree {k} outside [0, {f.p})")
-    g = -f.shift(k).derivative(f.p - 1)
-    try:
-        return g.pth_root()
-    except NotAPthPower as exc:  # pragma: no cover - internal invariant
-        raise RuntimeError(f"derivative route produced a non-p-th power: {exc}") from exc
+    p = f.p
+    if not 0 <= k < p:
+        raise DegreeOutOfRange(f"weeding degree {k} outside [0, {p})")
+    g = (0,) * k + f.coeffs
+    for _ in range(p - 1):
+        g = tuple([j * c % p for j, c in enumerate(g)][1:])
+    stray = next((i for i, c in enumerate(g) if c and i % p), None)
+    if stray is not None:  # pragma: no cover - internal invariant
+        raise RuntimeError(f"derivative route left a nonzero coefficient at index {stray}")
+    return TruncatedSeries._of(p, tuple([-c % p for c in g[::p]]))

@@ -170,6 +170,18 @@ def random_primitive_denominator(rng: random.Random, p: int, degree: int) -> lis
             return denom
 
 
+def rational_coefficients(p: int, numer, denom, n: int) -> list:
+    """First n coefficients of numer/denom over F_p, low order first, by
+    long division; denom[0] must be a unit."""
+    inv = pow(denom[0], p - 2, p)
+    out = []
+    for k in range(n):
+        acc = numer[k] if k < len(numer) else 0
+        acc -= sum(denom[t] * out[k - t] for t in range(1, min(k, len(denom) - 1) + 1))
+        out.append(acc * inv % p)
+    return out
+
+
 def polynomial_text(coeffs) -> str:
     """Parser text for a univariate polynomial in x, low order first."""
     terms = [f"{c}*x^{i}" if i else str(c) for i, c in enumerate(coeffs) if c]

@@ -10,11 +10,9 @@ from christol import (
     ChristolError,
     DegreeOverflow,
     NoBranch,
-    NonUnitDenominator,
     PolynomialSyntaxError,
     TruncatedSeries,
     expand_branch,
-    expand_rational,
     parse_bivariate,
     verify_annihilation,
 )
@@ -114,8 +112,6 @@ def test_to_text_round_trip():
 def test_grid_constructor_normalizes():
     q = BivariatePolynomial(2, [[0, 1], [1, 0], [0, 0]])  # trailing zero row
     assert q.coeffs == ((0, 1), (1, 0))
-    assert q.coefficient(5, 5) == 0
-    assert q.y_row(1) == (1, 0)
     with pytest.raises(ValueError):
         BivariatePolynomial(2, [[1], [1]])  # no y anywhere
     with pytest.raises(ValueError):
@@ -424,35 +420,6 @@ def test_expansion_annihilates_random_polynomials():
         assert verify_annihilation(q, f)
         successes += 1
     assert successes >= 50
-
-
-def test_expand_rational():
-    # 1/(1-x) over F_2
-    assert expand_rational(2, [1], [1, 1], 6).coeffs == (1,) * 6
-    # 1/(1-x-x^2) mod 5: Fibonacci numbers
-    fib = expand_rational(5, [1], [1, 4, 4], 10)
-    assert fib.coeffs == (1, 1, 2, 3, 5 % 5, 8 % 5, 13 % 5, 21 % 5, 34 % 5, 55 % 5)
-    # numerator shorter/longer than n
-    assert expand_rational(3, [0, 1, 0, 0, 2], [1], 3).coeffs == (0, 1, 0)
-    with pytest.raises(NonUnitDenominator):
-        expand_rational(3, [1], [0, 1], 4)
-    with pytest.raises(NonUnitDenominator):
-        expand_rational(3, [1], [], 4)
-    with pytest.raises(ValueError):
-        expand_rational(3, [1], [1], -1)
-
-
-def test_rational_expansion_satisfies_recurrence():
-    rng = random.Random(7)
-    for _ in range(100):
-        p = rng.choice((2, 3, 7))
-        numer = [rng.randrange(p) for _ in range(rng.randrange(1, 5))]
-        denom = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(rng.randrange(4))]
-        n = 30
-        f = expand_rational(p, numer, denom, n)
-        d = TruncatedSeries(p, denom).pad_to(n)
-        a = TruncatedSeries(p, numer[:n]).pad_to(n)
-        assert d * f == a
 
 
 def test_verify_annihilation():
