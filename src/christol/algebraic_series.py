@@ -8,9 +8,10 @@ The polynomial text format is a tiny expression language:
     atom   := uint | 'x' | 'y' | '(' expr ')'
 
 Whitespace between tokens is ignored.  There is no unary minus and no
-implicit multiplication: write "2*x", not "2x".  Degrees are capped
-at 64 in each variable so a typo like x^999999 fails fast instead
-of allocating.
+implicit multiplication: write "2*x", not "2x".  A uint has any
+length.  Degrees are capped at 64 in each variable so a typo like
+x^999999 fails fast instead of allocating, and parentheses nest at most
+100 deep, so deeper text is a syntax error, not a RecursionError.
 
 expand_branch() grows the unique power series f with Q(x, f) = 0 that
 extends a given seed of low-order coefficients.  Its one engine is a
@@ -31,10 +32,11 @@ from .errors import (
     NoBranch,
     PolynomialSyntaxError,
 )
-from .finite_field import ensure_prime
+from .finite_field import ensure_prime, parse_natural
 from .power_series import TruncatedSeries, cauchy_product
 
 DEFAULT_DEGREE_CAP = 64
+MAX_NESTING = 100  # four parser frames a level, far below the recursion limit
 
 
 class BivariatePolynomial:
@@ -157,9 +159,6 @@ class BivariatePolynomial:
 
 # -- parsing ----------------------------------------------------------
 
-_TOKEN_CHARS = set("+-*^()xy")
-
-
 class _Parser:
     # Operates on {(i, j): residue} dicts and only wraps the final result
     # in a BivariatePolynomial, since intermediates (like "(1+x)") need
@@ -169,6 +168,7 @@ class _Parser:
         self.text = text
         self.p = p
         self.pos = 0
+        self.depth = 0  # parentheses open at pos
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
@@ -190,7 +190,7 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self._fail("expected an unsigned integer")
-        return int(self.text[start : self.pos])
+        return parse_natural(self.text[start : self.pos])
 
     def _check_degrees(self, poly):
         for i, j in poly:
@@ -267,11 +267,15 @@ class _Parser:
         if ch is None:
             self._fail("unexpected end of input")
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                self._fail(f"parentheses nested deeper than {MAX_NESTING}")
+            self.depth += 1
             self.pos += 1
             poly = self._expr()
             if self._peek() != ")":
                 self._fail("expected ')'")
             self.pos += 1
+            self.depth -= 1
             return poly
         if ch == "x":
             self.pos += 1
@@ -288,10 +292,10 @@ class _Parser:
 def parse_bivariate(text: str, p: int) -> BivariatePolynomial:
     """Parse polynomial text over F_p into a BivariatePolynomial.
 
-    Raises PolynomialSyntaxError (with offset) on malformed text,
-    DegreeOverflow where a term, also an intermediate one, has x- or
-    y-degree above DEFAULT_DEGREE_CAP, and ValueError if the result does
-    not involve y.
+    Raises PolynomialSyntaxError (with offset) on malformed text, also
+    past MAX_NESTING parentheses, DegreeOverflow where a term, also an
+    intermediate one, has x- or y-degree above DEFAULT_DEGREE_CAP, and
+    ValueError if the result does not involve y.
     """
     ensure_prime(p)
     terms = _Parser(text, p).parse()

@@ -6,8 +6,7 @@ zeros included, give those on the (k+1)-digit strings through one
 transition each, and the strings with a nonzero top digit are exactly
 the base-p forms of the next indices.  Every level is cut at N entries
 and the levels grow geometrically, so N terms take fewer than 3N
-transitions for every p.  Outputs are reduced mod p once per state, not
-once per coefficient.
+transitions for every p.
 
 guess_polynomial() then searches for a nonzero Q(x, y) of bounded degree
 with Q(x, f) = 0 mod x^N: each product x^i * f^j is one column of an
@@ -22,7 +21,6 @@ certificate, never a different normalized Q).
 
 from .algebraic_series import BivariatePolynomial, verify_annihilation
 from .errors import NoRelationFound
-from .finite_field import ensure_prime
 from .kernel import KernelRepresentation, alpha_output, alpha_step
 from .linalg import first_dependency
 from .power_series import TruncatedSeries, cauchy_product
@@ -43,14 +41,10 @@ def automatic_to_series(machine, n: int) -> TruncatedSeries:
     takes fewer than 3n transitions and holds at most 2n states at once,
     for every p, p = 65521 included, against one decimal conversion and
     O(log n) transitions per index through query().
-
-    A Dfao's output table is reduced mod p once, one entry per state (a
-    Dfao accepts outputs such as True or 1.0), so the coefficients are
-    ints in [0, p) and the series wraps them without reducing them again.
     """
     if n < 0:
         raise ValueError(f"term count must be nonnegative, got {n}")
-    p = ensure_prime(machine.p)
+    p = machine.p
     if isinstance(machine, KernelRepresentation):
         start = machine.alpha0
 
@@ -61,8 +55,7 @@ def automatic_to_series(machine, n: int) -> TruncatedSeries:
             return [alpha_output(machine, a) for a in states]
 
     else:
-        start, delta = machine.start, machine.delta
-        tau = [int(t) % p for t in machine.tau]
+        start, delta, tau = machine.start, machine.delta, machine.tau
 
         def advance(states, d):
             return [delta[s][d] for s in states]

@@ -28,12 +28,15 @@ series z, state alpha outputs [x^n](alpha . z) on the digits of every
 n < n_eq, so distinct states differ at some n.  So on a correct closure
 the linear machine and the orbit machine agree state for state.
 
+The Dfao constructor is the one check of a machine, built or read, so
+dfao_to_json() writes only documents that dfao_from_json() reads back.
+
 Least-significant-first digit order makes trailing zeros of the input
 harmless by construction: delta(s, 0) fixes tau, so "6", "06" and "0006"
 (as digit strings 011, 0110, ...) agree.  to_digits_lsd() never emits
 the useless high zeros in the first place.  It converts an index of any
 length without touching the interpreter's int(str) limit: the decimal
-string is parsed in chunks of at most 600 digits, and the value is cut
+string is read by finite_field.parse_natural(), and the value is cut
 by divide and conquer into words below P = p^k, the largest power of p
 at most 1024.  Each word becomes its k digits through one lookup in a
 table of P bytes objects, built once per p (52 KiB for p = 2, the
@@ -49,8 +52,8 @@ import json
 import reprlib
 from dataclasses import dataclass
 
-from .errors import MalformedNumber, SchemaError, StateCapExceeded
-from .finite_field import ensure_prime
+from .errors import SchemaError, StateCapExceeded
+from .finite_field import ensure_prime, parse_natural
 from .kernel import (
     DEFAULT_MAX_STATES,
     ClosureConfig,
@@ -67,7 +70,10 @@ FORMAT_TAG = "dfao-v1"
 class Dfao:
     """States 0..n-1 with transition table delta[state][digit], output
     table tau[state], and a start state; digits are read least
-    significant first.  Instances are immutable."""
+    significant first.  Instances are immutable.  ValueError unless p is
+    prime, every state has p targets, and start, targets and outputs are
+    in range and of type int (not True, not 2.0); messages name the
+    state and show the value through reprlib."""
 
     p: int
     start: int
@@ -75,21 +81,21 @@ class Dfao:
     tau: tuple
 
     def __post_init__(self):
-        ensure_prime(self.p)
+        p = ensure_prime(self.p)
         n = len(self.delta)
         if n == 0 or len(self.tau) != n:
             raise ValueError("delta and tau must cover the same nonempty state set")
-        if not 0 <= self.start < n:
-            raise ValueError(f"start state {self.start} outside [0, {n})")
-        for row in self.delta:
-            if len(row) != self.p:
-                raise ValueError(f"transition row of length {len(row)}, expected {self.p}")
+        if type(self.start) is not int or not 0 <= self.start < n:
+            raise ValueError(f"start state {reprlib.repr(self.start)} is not an int in [0, {n})")
+        for s, row in enumerate(self.delta):
+            if len(row) != p:
+                raise ValueError(f"state {s} has {len(row)} transitions, expected {p}")
             for t in row:
-                if not 0 <= t < n:
-                    raise ValueError(f"transition target {t} outside [0, {n})")
-        for out in self.tau:
-            if not 0 <= out < self.p:
-                raise ValueError(f"output {out} outside [0, {self.p})")
+                if type(t) is not int or not 0 <= t < n:
+                    raise ValueError(f"state {s} target {reprlib.repr(t)} is not an int in [0, {n})")
+            out = self.tau[s]
+            if type(out) is not int or not 0 <= out < p:
+                raise ValueError(f"state {s} output {reprlib.repr(out)} is not an int in [0, {p})")
 
     @property
     def n_states(self) -> int:
@@ -196,9 +202,6 @@ def minimize(a: Dfao) -> Dfao:
     )
 
 
-# Leaf chunks of the decimal parse stay below 640 digits, the lowest
-# int(str) limit an interpreter can be set to, so no limit is ever hit.
-_PARSE_LEAF = 600
 # The split works in words below P = p^k, the largest power of p at most
 # _WORD_MAX; each word becomes its k digits through a table of P bytes
 # objects.  _WORD_BASES keeps (P, table) per p for the life of the
@@ -209,15 +212,6 @@ _WORD_BASES = {}
 # Up to this many bits (about 300 decimal digits) a plain divmod(v, P)
 # loop costs less than splitting level by level.
 _LOOP_BITS = 1024
-
-
-def _parse_decimal(s: str) -> int:
-    """int(s) for a validated ASCII digit string of any length, by
-    halving the string and combining hi * 10**k + lo."""
-    if len(s) <= _PARSE_LEAF:
-        return int(s)
-    k = len(s) // 2
-    return _parse_decimal(s[:-k]) * 10**k + _parse_decimal(s[-k:])
 
 
 def _word_base(p: int) -> tuple:
@@ -240,12 +234,11 @@ def _word_base(p: int) -> tuple:
 def to_digits_lsd(n: str, p: int) -> list:
     """Base-p digits of a decimal string, least significant first.
 
-    The string is parsed in halves of at most 600 digits each, so input
-    length is unbounded and the interpreter's int(str) limit is never
-    read or changed.  The value is then cut into words below P = p^k, the
-    largest power of p at most 1024.  Past 1024 bits this is a split,
-    level by level: every chunk is cut by P^(2^i) into a low and a high
-    half, from the top power down to single words.  Its top levels are a
+    The string is read by finite_field.parse_natural(), for any length.
+    The value is then cut into words below P = p^k, the largest power of
+    p at most 1024.  Past 1024 bits this is a split, level by level:
+    every chunk is cut by P^(2^i) into a low and a high half, from the
+    top power down to single words.  Its top levels are a
     few big-int divisions, schoolbook in CPython 3.11 and so quadratic in
     the length, while the lower levels cost a few list operations per
     chunk.  At 4549 digits and p = 5 the top four levels take about a
@@ -259,10 +252,7 @@ def to_digits_lsd(n: str, p: int) -> list:
     digits to read means the start state.
     """
     ensure_prime(p)
-    # validate before int(), which also takes " 7", "+7", "1_000" and "١٢"
-    if not isinstance(n, str) or not (n.isascii() and n.isdigit()):
-        raise MalformedNumber(f"expected a decimal natural number, got {n!r}")
-    v = _parse_decimal(n)
+    v = parse_natural(n)
     base, table = _WORD_BASES.get(p) or _word_base(p)
     digits = []
     if v.bit_length() > _LOOP_BITS:
@@ -299,13 +289,12 @@ def query(machine, n: str) -> int:
     """The n-th output, a residue in [0, p): feed the base-p digits of n
     (LSD first) through machine, which may be a Dfao or a
     KernelRepresentation."""
+    digits = to_digits_lsd(n, machine.p)
     if isinstance(machine, KernelRepresentation):
-        digits = to_digits_lsd(n, machine.p)
         alpha = machine.alpha0
         for d in digits:
             alpha = alpha_step(machine, alpha, d)
         return alpha_output(machine, alpha)
-    digits = to_digits_lsd(n, machine.p)
     state = machine.start
     for d in digits:
         state = machine.delta[state][d]
@@ -350,10 +339,9 @@ def dfao_to_json(a: Dfao) -> str:
 
 
 def dfao_from_json(text: str) -> Dfao:
-    """Parse and validate a dfao-v1 document; every violation is a
-    SchemaError.  Messages show offending values through reprlib, cut to
-    a few dozen characters, so a deeply nested or huge value cannot
-    flood the one-line error."""
+    """Parse a dfao-v1 document; every violation is a SchemaError.  Only
+    the JSON shape is checked here; the values go to the Dfao
+    constructor as they are, and its ValueError becomes the SchemaError."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -366,35 +354,18 @@ def dfao_from_json(text: str) -> Dfao:
         raise SchemaError(f"unknown format tag {reprlib.repr(doc.get('format'))}")
     if doc.get("digit_order") != "lsd":
         raise SchemaError(f"unsupported digit order {reprlib.repr(doc.get('digit_order'))}")
-    p = doc.get("p")
-    if not isinstance(p, int) or isinstance(p, bool):
-        # checked before ensure_prime, whose cache cannot hash a list
-        raise SchemaError(f"bad modulus: modulus must be an int, got {reprlib.repr(p)}")
-    try:
-        ensure_prime(p)
-    except ValueError as exc:
-        raise SchemaError(f"bad modulus: {exc}") from exc
     states = doc.get("states")
-    if not isinstance(states, list) or not states:
-        raise SchemaError("states must be a nonempty list")
-    n = len(states)
-    start = doc.get("start")
-    if not isinstance(start, int) or isinstance(start, bool) or not 0 <= start < n:
-        raise SchemaError(f"start {reprlib.repr(start)} outside [0, {n})")
-    delta = []
-    tau = []
-    for idx, entry in enumerate(states):
-        if not isinstance(entry, dict):
-            raise SchemaError(f"state {idx} must be an object")
-        out = entry.get("output")
-        if not isinstance(out, int) or isinstance(out, bool) or not 0 <= out < p:
-            raise SchemaError(f"state {idx} output {reprlib.repr(out)} outside [0, {p})")
-        nxt = entry.get("next")
-        if not isinstance(nxt, list) or len(nxt) != p:
-            raise SchemaError(f"state {idx} next-array length must be {p}")
-        for t in nxt:
-            if not isinstance(t, int) or isinstance(t, bool) or not 0 <= t < n:
-                raise SchemaError(f"state {idx} transition {reprlib.repr(t)} outside [0, {n})")
-        tau.append(out)
-        delta.append(tuple(nxt))
-    return Dfao(p=p, start=start, delta=tuple(delta), tau=tuple(tau))
+    if not isinstance(states, list):
+        raise SchemaError("states must be a list")
+    for s, entry in enumerate(states):
+        if not isinstance(entry, dict) or not isinstance(entry.get("next"), list):
+            raise SchemaError(f"state {s} must be an object with a next list")
+    try:
+        return Dfao(
+            p=doc.get("p"),
+            start=doc.get("start"),
+            delta=tuple(tuple(entry["next"]) for entry in states),
+            tau=tuple(entry.get("output") for entry in states),
+        )
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc

@@ -20,7 +20,7 @@ from .automaton import (
     minimize,
     query,
 )
-from .errors import ChristolError
+from .errors import ChristolError, MalformedNumber
 from .examples import (
     all_ones_spec,
     central_binomial_mod3_oracle,
@@ -28,7 +28,8 @@ from .examples import (
     thue_morse_oracle,
     thue_morse_spec,
 )
-from .kernel import ClosureConfig, exact_representation, orbit_closure, recheck
+from .kernel import DEFAULT_MAX_STATES, DEFAULT_N_EQ, ClosureConfig, exact_representation
+from .kernel import orbit_closure, recheck
 from .power_series import parse_series
 from .weeding import weed
 
@@ -40,13 +41,10 @@ class _UsageError(Exception):
 def _parse_seed(text: str, p: int) -> tuple:
     if not text:
         return ()
-    parts = [s.strip() for s in text.split(",")]
-    values = []
-    for part in parts:
-        if not part or not all(ch in "0123456789" for ch in part):
-            raise _UsageError(f"bad seed entry {part!r}")
-        values.append(int(part) % p)
-    return tuple(values)
+    try:
+        return parse_series(text, p).coeffs
+    except ValueError as exc:
+        raise _UsageError(f"bad seed: {exc}") from exc
 
 
 def _branch_spec(args: argparse.Namespace) -> BranchSpec:
@@ -80,11 +78,12 @@ def _cmd_automaton(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    if not (args.n.isascii() and args.n.isdigit()):
-        raise _UsageError(f"--n must be a decimal natural number, got {args.n!r}")
     with open(args.automaton) as fh:
         machine = dfao_from_json(fh.read())
-    print(query(machine, args.n))
+    try:
+        print(query(machine, args.n))
+    except MalformedNumber as exc:
+        raise _UsageError(f"--n: {exc}") from exc
     return 0
 
 
@@ -184,9 +183,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="accepted for compatibility; the machine written is minimal already")
     sp.add_argument("--out", required=True, help="output path for dfao-v1 JSON")
     sp.add_argument("--dot", default="", help="optional Graphviz output path")
-    sp.add_argument("--n-eq", type=int, default=64,
+    sp.add_argument("--n-eq", type=int, default=DEFAULT_N_EQ,
                     help="accepted; the construction is exact")
-    sp.add_argument("--max-states", type=int, default=4096,
+    sp.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES,
                     help="cap on the basis dimension and on the reachable vectors")
 
     sp = sub.add_parser("query", help="coefficient at index n from a saved automaton")

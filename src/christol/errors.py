@@ -57,8 +57,8 @@ class DimensionMismatch(ChristolError):
     """Vector length does not match the basis dimension."""
 
 
-class MalformedNumber(ChristolError):
-    """Index argument is not a plain base-10 natural number."""
+class MalformedNumber(ChristolError, ValueError):
+    """Text is not a plain base-10 natural number."""
 
 
 class SchemaError(ChristolError):

@@ -1,4 +1,6 @@
-"""Validation of the prime modulus p <= 2**16.
+"""Validation of the prime modulus p <= 2**16, and parse_natural(), the
+one reader of the decimal naturals that come from outside: query
+indices, series and seed entries, polynomial literals.
 
 Elements of F_p are plain int residues in [0, p) throughout the package.
 """
@@ -6,19 +8,26 @@ Elements of F_p are plain int residues in [0, p) throughout the package.
 import functools
 import reprlib
 
+from .errors import MalformedNumber
+
 MAX_MODULUS = 2**16
+# below 640, the lowest int(str) limit an interpreter can be set to
+_PARSE_LEAF = 600
+
+
+def ensure_prime(p: int) -> int:
+    """Validate that p is a prime in [2, 2**16] and return it.  Messages
+    show p through reprlib, so a huge value prints cut short.  The type
+    is checked before the cache, which cannot hash a list."""
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise ValueError(f"modulus must be an int, got {reprlib.repr(p)}")
+    return _checked_prime(p)
 
 
 @functools.lru_cache(maxsize=None)
-def ensure_prime(p: int) -> int:
-    """Validate that p is a prime in [2, 2**16] and return it.  Messages
-    show p through reprlib, so a huge value prints cut short.
-
-    Trial division is plenty at this size, and the cache makes repeated
-    validation (one per series or machine construction) a dictionary hit.
-    """
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise ValueError(f"modulus must be an int, got {reprlib.repr(p)}")
+def _checked_prime(p: int) -> int:
+    """Trial division is plenty at this size, and the cache makes repeated
+    validation (one per series or machine construction) a dictionary hit."""
     if p < 2 or p > MAX_MODULUS:
         raise ValueError(f"modulus {reprlib.repr(p)} outside the supported range [2, {MAX_MODULUS}]")
     d = 2
@@ -28,3 +37,16 @@ def ensure_prime(p: int) -> int:
         d += 1
     return p
 
+
+def parse_natural(text: str) -> int:
+    """The value of a nonempty string of ASCII digits, of any length; a
+    MalformedNumber for anything else, such as the signs, spaces,
+    underscores and non-ASCII digits that int() takes.  A long string is
+    read in halves, hi * 10**k + lo, so the interpreter's int(str) limit
+    is never hit."""
+    if not isinstance(text, str) or not (text.isascii() and text.isdigit()):
+        raise MalformedNumber(f"expected a decimal natural number, got {reprlib.repr(text)}")
+    if len(text) <= _PARSE_LEAF:
+        return int(text)
+    k = len(text) // 2
+    return parse_natural(text[:-k]) * 10**k + parse_natural(text[-k:])

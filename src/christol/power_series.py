@@ -14,7 +14,7 @@ import sys
 from array import array
 
 from .errors import ModulusMismatch
-from .finite_field import ensure_prime
+from .finite_field import ensure_prime, parse_natural
 
 # (slot width in bytes, array/memoryview format of that width), narrowest
 # first.  The formats are native, so slots are packed and read in the
@@ -146,17 +146,13 @@ class TruncatedSeries:
 def parse_series(text: str, p: int) -> TruncatedSeries:
     """Parse a comma-separated coefficient literal like "0,1,1,0,1,0,0,1".
 
-    Entries must be base-10 naturals; they are reduced mod p.  The empty
-    literal is rejected: zero-precision series only ever arise as
-    degenerate results of precision loss, never as inputs.
+    Entries are decimal naturals of any length, read by parse_natural();
+    they are reduced mod p.  The empty literal is rejected: zero-precision
+    series only ever arise as degenerate results of precision loss, never
+    as inputs.
     """
     ensure_prime(p)
     parts = [s.strip() for s in text.split(",")]
     if parts == [""]:
         raise ValueError("empty series literal")
-    values = []
-    for part in parts:
-        if not part or not all(ch in "0123456789" for ch in part):
-            raise ValueError(f"bad series entry {part!r}")
-        values.append(int(part) % p)
-    return TruncatedSeries(p, values)
+    return TruncatedSeries._of(p, tuple(parse_natural(part) % p for part in parts))

@@ -9,8 +9,6 @@ integer arithmetic.
 import json
 import random
 
-import pytest
-
 from christol import (
     NoRelationFound,
     build_dfao,
@@ -30,7 +28,6 @@ from christol import (
 )
 from christol.examples import central_binomial_spec, shipped_specs, thue_morse_spec
 from support import (
-    base_digits,
     lucas_central_binomial_mod3,
     parity,
     random_decimal,

@@ -71,6 +71,26 @@ def test_parse_syntax_errors_carry_position():
         assert f"position {pos}" in str(info.value)
 
 
+def test_parse_caps_the_nesting_depth():
+    # 100 levels parse; one more is a syntax error at the 101st '(',
+    # however deep the text goes, and never a RecursionError
+    assert parse_bivariate("(" * 100 + "y+1" + ")" * 100, 2) == parse_bivariate("y+1", 2)
+    for depth in (101, 3000):
+        with pytest.raises(PolynomialSyntaxError) as info:
+            parse_bivariate("(" * depth + "y" + ")" * depth, 2)
+        assert info.value.pos == 100
+        assert str(info.value) == "parentheses nested deeper than 100 (at position 100)"
+
+
+def test_parse_numbers_of_any_length():
+    # 5000 ones is 2 mod 3, and 2^(5000 ones) is 2^odd = 2 mod 3
+    ones = "1" * 5000
+    want = parse_bivariate("2*y + 1", 3)
+    assert parse_bivariate(ones + "*y + 1", 3) == want
+    assert parse_bivariate("2^" + ones + "*y + 1", 3) == want
+    assert parse_bivariate("y^" + "0" * 4999 + "1 + 2", 3) == parse_bivariate("y + 2", 3)
+
+
 def test_parse_rejects_implicit_multiplication():
     with pytest.raises(PolynomialSyntaxError):
         parse_bivariate("2x + y", 5)

@@ -114,15 +114,6 @@ def test_automatic_to_series_cuts_every_level_at_n():
     assert f.coeffs == tuple(query(m, str(j)) for j in range(300))
 
 
-def test_automatic_to_series_reduces_outputs_to_ints():
-    # a Dfao accepts True and 2.0 as outputs; the series holds ints
-    m = Dfao(3, 0, ((1, 2, 0), (1, 1, 2), (0, 2, 1)), (True, 2.0, 0))
-    f = automatic_to_series(m, 100)
-    assert all(type(c) is int for c in f.coeffs)
-    assert f.coeffs == tuple(int(query(m, str(j))) for j in range(100))
-    assert set(f.coeffs) == {0, 1, 2}
-
-
 def test_guess_all_ones():
     f = TruncatedSeries(2, (1,) * 8)
     q = guess_polynomial(f, 1, 1)

@@ -485,6 +485,10 @@ def test_json_schema_violations():
         _mutate("states", [{"next": [0, 0]}]),  # output missing
         _mutate("states", [{"output": 0}]),  # next missing
         _mutate("states", [[0, 0, 0]]),  # state not an object
+        _mutate("states", [{"output": 1.0, "next": [0, 0]}]),
+        _mutate("states", [{"output": 0, "next": [0.0, 0]}]),
+        _mutate("states", [{"output": 0, "next": "00"}]),
+        _mutate("states", [{"output": 0, "next": [0, 0]}, None]),
     ]
     for text in bad_docs:
         with pytest.raises(SchemaError):
@@ -512,6 +516,21 @@ def test_dfao_constructor_validation():
         Dfao(p=2, start=0, delta=((0, 0),), tau=(2,))  # output not a residue
     with pytest.raises(ValueError):
         Dfao(p=6, start=0, delta=((0,) * 6,), tau=(0,))
+    # values that equal or spell an int in range are not ints
+    with pytest.raises(ValueError, match="state 0 output True"):
+        Dfao(3, 0, ((1, 2, 0), (1, 1, 2), (0, 2, 1)), (True, 2.0, 0))
+    with pytest.raises(ValueError, match="state 1 output 2.0"):
+        Dfao(3, 0, ((1, 2, 0), (1, 1, 2), (0, 2, 1)), (1, 2.0, 0))
+    with pytest.raises(ValueError, match="state 0 target 0.0"):
+        Dfao(2, 0, ((0.0, 0),), (1,))
+    with pytest.raises(ValueError, match="start state '0'"):
+        Dfao(2, "0", ((0, 0),), (1,))
+    with pytest.raises(ValueError, match="modulus must be an int"):
+        Dfao([2], 0, ((0, 0),), (1,))
+    # a value too long to print is cut short
+    with pytest.raises(ValueError) as info:
+        Dfao(2, 0, ((0, 0),), (10**100,))
+    assert len(str(info.value)) < 100
 
 
 def test_build_dfao_central_binomial_f5():

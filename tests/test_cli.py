@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import christol
 from christol import (
     BranchSpec,
     ClosureConfig,
@@ -101,6 +105,65 @@ def test_weed_bad_series_literal(capsys):
     code, _, err = run(capsys, "weed", "--p", "2", "--series", "1,,0", "--degree", "0")
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.fixture
+def low_int_limit():
+    """The lowest int(str) limit an interpreter accepts, where it has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_entries_of_5000_digits(capsys, low_int_limit):
+    # 5000 ones is 2 mod 3: a series entry, a seed entry, a coefficient
+    # and an exponent of that length are read like short ones
+    ones = "1" * 5000
+    assert run(capsys, "weed", "--p", "3", "--series", ones + ",1,2", "--degree", "1") == (
+        0, "1\n", "",
+    )
+    assert run(capsys, "expand", "--p", "3", "--poly", "y+1", "--seed", ones, "--terms", "3") == (
+        0, "2,0,0\n", "",
+    )
+    for poly in (ones + "*y+1", "2^" + ones + "*y+1", "y^" + "0" * 4999 + "1+2"):
+        assert run(capsys, "expand", "--p", "3", "--poly", poly, "--terms", "3") == (
+            0, "1,0,0\n", "",
+        )
+
+
+def test_bad_seed_is_a_usage_error(capsys):
+    for seed in ("a", "1,,0", "-1", " ", "1_0", "١"):
+        code, out, err = run(capsys, "expand", *TM_ARGS[:4], "--seed", seed, "--terms", "4")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: bad seed:") and err.count("\n") == 1
+
+
+def test_deep_parentheses_are_a_syntax_error(capsys, tmp_path):
+    out_path = str(tmp_path / "deep.json")
+    for depth in (101, 3000):
+        poly = "(" * depth + "y+1" + ")" * depth
+        code, out, err = run(capsys, "automaton", "--p", "2", "--poly", poly, "--out", out_path)
+        assert (code, out) == (1, "")
+        assert err == "error: parentheses nested deeper than 100 (at position 100)\n"
+    poly = "(" * 100 + "y+1" + ")" * 100
+    assert run(capsys, "automaton", "--p", "2", "--poly", poly, "--out", out_path) == (0, "2\n", "")
+
+
+def test_python_dash_m_runs_the_cli():
+    # the README's expand example, through the package's __main__
+    src = str(Path(christol.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["expand", "--p", "2", "--poly", "(1+x)^3*y^2 + (1+x)^2*y + x", "--seed", "0", "--terms", "8"]
+    done = subprocess.run(
+        [sys.executable, "-m", "christol", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0,1,1,0,1,0,0,1\n", "")
 
 
 def test_automaton_writes_json_and_dot(capsys, tmp_path):
@@ -338,13 +401,8 @@ def test_query_index_beyond_default_int_limit(capsys, tmp_path):
 @pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no int(str) limit"
 )
-def test_query_does_not_depend_on_int_limit(capsys, tmp_path):
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        query_thue_morse_at_16000_digits(capsys, tmp_path)
-    finally:
-        sys.set_int_max_str_digits(saved)
+def test_query_does_not_depend_on_int_limit(capsys, tmp_path, low_int_limit):
+    query_thue_morse_at_16000_digits(capsys, tmp_path)
 
 
 def test_query_rejects_negative_index(capsys, tmp_path):

@@ -101,6 +101,9 @@ def test_parse_series_literal():
     for bad in ("", "1,,2", "1,-2", "a,b", ","):
         with pytest.raises(ValueError):
             parse_series(bad, 2)
+    # entries of any length: 5000 ones is 2 mod 3
+    assert parse_series("1" * 5000 + ", 1,2", 3).coeffs == (2, 1, 2)
+    assert parse_series("0" * 4999 + "1", 3).coeffs == (1,)
 
 
 # -- cauchy_product ---------------------------------------------------
