@@ -397,19 +397,17 @@ def _start_coefficient(q: BivariatePolynomial, seed) -> int:
     return -h[0] % q.p
 
 
-def _expand_newton(q: BivariatePolynomial, seed, n: int) -> TruncatedSeries:
-    """Newton iteration f <- f - Q(x,f)/Qy(x,f) with precision doubling.
+def _expand_newton(q: BivariatePolynomial, a0: int, n: int) -> TruncatedSeries:
+    """First n >= 1 coefficients of the root of q through a0, by the Newton
+    iteration f <- f - Q(x,f)/Qy(x,f) with precision doubling.
 
     Requires Qy(0, a0) != 0, which keeps the divisor a unit throughout.
     The inverse g of Qy(x, f) is carried along at half precision: a
     step from t to T correct coefficients needs it only mod x^(T-t),
     because Q(x, f) vanishes mod x^t, and one inverse-Newton step
     g <- g*(2 - Qy*g) then doubles it for the next round.
-    The seed beyond a0 is not consumed, only checked: the branch through
-    a0 is already unique, so a disagreeing seed means no branch at all.
     """
     p = q.p
-    a0 = _start_coefficient(q, seed)
     f = (a0,)
     g = (pow(q.dy_at_origin(a0), p - 2, p),)  # 1/Qy(x, f) mod x^(T-t)
     t = 1
@@ -424,9 +422,6 @@ def _expand_newton(q: BivariatePolynomial, seed, n: int) -> TruncatedSeries:
             e = cauchy_product(slope, g, p, need)[h:]
             g += tuple([(-c) % p for c in cauchy_product(g, e, p, need - h)])
         t = T
-    for k in range(1, min(len(seed), n)):
-        if f[k] != seed[k]:
-            raise NoBranch(k)
     return TruncatedSeries._of(p, f[:n])
 
 
@@ -452,48 +447,46 @@ def _shift(q: BivariatePolynomial, head, v: int) -> BivariatePolynomial:
     )
 
 
-def _shift_past_seed(q: BivariatePolynomial, seed, n: int):
-    """The seed checks of a root through a0 = seed[0] where Qy(0, a0) = 0,
-    then the shift that gives it unit slope.
+def _root_start(q: BivariatePolynomial, seed, n: int):
+    """Where the Newton iteration for the first n >= 1 coefficients of the
+    root of q extending seed starts: (head, qt, a0), the root being head
+    followed by the root of qt through a0, at which qt has unit slope.
+    Where the seed already gives those n coefficients, head is them and
+    qt and a0 are None.
 
-    With Qy(0, a0) = 0 the coefficient of x^k in Q(x, s) does not depend
-    on s beyond index k-1, so the seed is checked index by index below
-    min(n, len(seed)) first; None when that already covers n.  If Qy has
-    valuation v along the seed, the shift y = s + x^(v+1)*z (Kung and
-    Traub, J. ACM 1978) turns the root into one of unit slope; that needs
-    the seed to run one coefficient past v.  A shorter seed, or an
-    inseparable Q, leaves the next coefficient undetermined or
-    impossible.  Returns the head s = seed[:v+1] and the shifted Q.
+    a0 is the first coefficient: seed[0] if it is a root of Q(0, y),
+    else the one root of Q(0, y) in F_p.  Where Qy(0, a0) != 0, head is
+    () and qt is q.  Otherwise the coefficient of x^k in Q(x, s) does
+    not depend on s beyond index k-1, so the seed (or (a0,)) is checked
+    index by index below min(n, len(seed)) first.  If Qy has valuation v
+    along it, the shift y = s + x^(v+1)*z (Kung and Traub, J. ACM 1978)
+    turns the root into one of unit slope; that needs the seed to run
+    one coefficient past v.  A shorter seed, or an inseparable Q, leaves
+    the next coefficient undetermined or impossible.  Then head is the
+    prefix s = seed[:v+1] and qt the shifted Q.
+
+    Only the seed entries these checks cover are compared here: the
+    caller compares the rest with the root it finds.
     """
-    p, size = q.p, len(seed)
+    a0 = _start_coefficient(q, seed)
+    if q.dy_at_origin(a0):
+        return (), q, a0
+    seed, p = seed or (a0,), q.p
+    size = len(seed)
     s = TruncatedSeries._of(p, seed + (0,))
     value = q.evaluate(s).coeffs
     for k in range(min(n, size)):
         if value[k]:
             raise NoBranch(k)
     if n <= size:
-        return None
+        return seed[:n], None, None
     slope = q.evaluate_dy(s).coeffs[:size]
     v = next((k for k, c in enumerate(slope) if c), size)
     if v == size:
         raise (NoBranch if value[size] else AmbiguousBranch)(size)
     head = seed[: v + 1]
-    return head, _shift(q, head, v)
-
-
-def _expand_singular(q: BivariatePolynomial, seed, n: int) -> TruncatedSeries:
-    """Expansion of a root through a0 = seed[0] where Qy(0, a0) = 0: the
-    seed checks and shift of _shift_past_seed(), then Newton on the
-    shifted polynomial, whose root continues the head."""
-    shifted = _shift_past_seed(q, seed, n)
-    if shifted is None:
-        return TruncatedSeries._of(q.p, seed[:n])
-    head, qt = shifted
-    f = head + _expand_newton(qt, (), n - len(head)).coeffs
-    for k in range(len(head), len(seed)):
-        if f[k] != seed[k]:
-            raise NoBranch(k)
-    return TruncatedSeries._of(q.p, f)
+    qt = _shift(q, head, v)
+    return head, qt, _start_coefficient(qt, ())
 
 
 def expand_branch(spec: BranchSpec, n: int) -> TruncatedSeries:
@@ -502,16 +495,23 @@ def expand_branch(spec: BranchSpec, n: int) -> TruncatedSeries:
     Newton iteration when dQ/dy(0, a0) is a unit.  Otherwise the seed
     must show the valuation v of dQ/dy along the root and one more
     coefficient; the shift past that prefix leaves a root of unit slope,
-    again expanded by Newton.
+    again expanded by Newton.  The seed beyond the start is not
+    consumed, only checked: the branch is already unique there, so a
+    disagreeing seed means no branch at all.
     """
     if n < 0:
         raise ValueError(f"term count must be nonnegative, got {n}")
     if n == 0:
         return TruncatedSeries(spec.p)
-    a0 = _start_coefficient(spec.q, spec.seed)
-    if spec.q.dy_at_origin(a0) != 0:
-        return _expand_newton(spec.q, spec.seed or (a0,), n)
-    return _expand_singular(spec.q, spec.seed or (a0,), n)
+    seed = spec.seed
+    head, qt, a0 = _root_start(spec.q, seed, n)
+    if qt is None:
+        return TruncatedSeries._of(spec.p, head)
+    f = head + _expand_newton(qt, a0, n - len(head)).coeffs
+    for k in range(1, min(len(seed), n)):
+        if f[k] != seed[k]:
+            raise NoBranch(k)
+    return TruncatedSeries._of(spec.p, f)
 
 
 def verify_annihilation(q: BivariatePolynomial, f: TruncatedSeries) -> bool:

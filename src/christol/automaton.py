@@ -34,18 +34,8 @@ dfao_to_json() writes only documents that dfao_from_json() reads back.
 Least-significant-first digit order makes trailing zeros of the input
 harmless by construction: delta(s, 0) fixes tau, so "6", "06" and "0006"
 (as digit strings 011, 0110, ...) agree.  to_digits_lsd() never emits
-the useless high zeros in the first place.  It converts an index of any
-length without touching the interpreter's int(str) limit: the decimal
-string is read by finite_field.parse_natural(), and the value is cut
-by divide and conquer into words below P = p^k, the largest power of p
-at most 1024.  Each word becomes its k digits through one lookup in a
-table of P bytes objects, built once per p (52 KiB for p = 2, the
-largest); a p above 32 has k = 1 and builds no table.  The top levels of
-the split are big-int divisions, schoolbook in CPython 3.11 and so
-quadratic in the length.  On a 2-vCPU VM an index of 2133 digits
-converts in about 0.3-0.4 ms and one of 4549 digits in about 1 ms, 1.3
-to 2.6 times faster than one divmod per base-p digit (the gain is
-largest for p = 2, which has the most digits per word).
+the useless high zeros in the first place, and it converts an index of
+any length without touching the interpreter's int(str) limit.
 """
 
 import json
@@ -209,9 +199,6 @@ def minimize(a: Dfao) -> Dfao:
 # k >= 2) of at most _WORD_MAX entries each; a larger p keeps (p, None).
 _WORD_MAX = 1024
 _WORD_BASES = {}
-# Up to this many bits (about 300 decimal digits) a plain divmod(v, P)
-# loop costs less than splitting level by level.
-_LOOP_BITS = 1024
 
 
 def _word_base(p: int) -> tuple:
@@ -235,50 +222,45 @@ def to_digits_lsd(n: str, p: int) -> list:
     """Base-p digits of a decimal string, least significant first.
 
     The string is read by finite_field.parse_natural(), for any length.
-    The value is then cut into words below P = p^k, the largest power of
-    p at most 1024.  Past 1024 bits this is a split, level by level:
-    every chunk is cut by P^(2^i) into a low and a high half, from the
-    top power down to single words.  Its top levels are a
-    few big-int divisions, schoolbook in CPython 3.11 and so quadratic in
-    the length, while the lower levels cost a few list operations per
-    chunk.  At 4549 digits and p = 5 the top four levels take about a
-    third of the time, the decimal parse a sixth, the three lowest
-    levels a fifth and the table lookups a tenth.  A shorter value is cut
-    by a divmod(v, P) loop.  Each word but the top one becomes its
-    k digits, high zeros included, through one lookup in a table of P
-    bytes objects, built once per p; a p above 32 has k = 1 and no
-    table.  The top word is cut digit by digit, so no trailing
+    The value is then split, level by level, into words below P = p^k,
+    the largest power of p at most 1024: every chunk is cut by P^(2^i)
+    into a low and a high half, from the top power down to single words.
+    Its top levels are a few big-int divisions, schoolbook in CPython
+    3.11 and so quadratic in the length, while the lower levels cost a
+    few list operations per chunk.  At 4549 digits and p = 5 the top
+    four levels take about a third of the time, the decimal parse a
+    sixth, the three lowest levels a fifth and the table lookups a
+    tenth.  Each word but the top one becomes its k digits, high zeros
+    included, through one lookup in a table of P bytes objects, built
+    once per p (52 KiB for p = 2, the largest); a p above 32 has k = 1
+    and no table.  The top word is cut digit by digit, so no trailing
     (high-order) zeros are produced.  "0" gives [], matching query(): no
-    digits to read means the start state.
+    digits to read means the start state.  On a 2-vCPU VM an index of
+    2133 digits converts in about 0.3-0.4 ms and one of 4549 digits in
+    about 1 ms, 1.3 to 2.6 times faster than one divmod per base-p digit
+    (the gain is largest for p = 2, which has the most digits per word).
     """
     ensure_prime(p)
     v = parse_natural(n)
     base, table = _WORD_BASES.get(p) or _word_base(p)
-    digits = []
-    if v.bit_length() > _LOOP_BITS:
-        # powers P^(2^i) up to the first that surely squares past v: one
-        # of b bits squares to at least 2^(2b - 2)
-        pows = [base]
-        while 2 * pows[-1].bit_length() - 2 < v.bit_length():
-            pows.append(pows[-1] * pows[-1])
-        # words least significant first, no zero word on top
-        words = [v]
-        for q in reversed(pows):
-            highs = [c // q for c in words]
-            split = [0] * (2 * len(words))
-            split[0::2] = [c - h * q for c, h in zip(words, highs)]
-            split[1::2] = highs
-            if not highs[-1]:
-                split.pop()
-            words = split
-        v = words.pop()
-        digits = list(b"".join(map(table.__getitem__, words))) if table else words
-    elif table:
-        while v >= base:
-            v, w = divmod(v, base)
-            digits += table[w]
-    # what is left of v, the top word (for k = 1 all of a short value),
-    # goes digit by digit
+    # powers P^(2^i) up to the first that surely squares past v: one of
+    # b bits squares to at least 2^(2b - 2)
+    pows = [base]
+    while 2 * pows[-1].bit_length() - 2 < v.bit_length():
+        pows.append(pows[-1] * pows[-1])
+    # words least significant first, no zero word on top
+    words = [v]
+    for q in reversed(pows):
+        highs = [c // q for c in words]
+        split = [0] * (2 * len(words))
+        split[0::2] = [c - h * q for c, h in zip(words, highs)]
+        split[1::2] = highs
+        if not highs[-1]:
+            split.pop()
+        words = split
+    v = words.pop()
+    digits = list(b"".join(map(table.__getitem__, words))) if table else words
+    # the top word goes digit by digit
     while v:
         v, d = divmod(v, p)
         digits.append(d)

@@ -94,7 +94,17 @@ def _cmd_algebraize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _selftest_suite(name, spec, oracle, limit, expect_states, to_base):
+def _base_digits(n: int, p: int) -> list:
+    """Base-p digits of n, least significant first, by divmod: the
+    oracles read them, independently of to_digits_lsd()."""
+    out = []
+    while n:
+        n, r = divmod(n, p)
+        out.append(r)
+    return out
+
+
+def _selftest_suite(name, spec, oracle, limit, expect_states):
     """The production machine of spec against the orbit oracles."""
     lines = []
     rep = orbit_closure(spec)
@@ -107,7 +117,7 @@ def _selftest_suite(name, spec, oracle, limit, expect_states, to_base):
         lines.append(f"{name}: expected {expect_states} states, got {machine.n_states}: FAIL")
     bad = 0
     for n in range(limit):
-        if query(machine, str(n)) != oracle(to_base(n)):
+        if query(machine, str(n)) != oracle(_base_digits(n, spec.p)):
             bad += 1
     lines.append(f"{name}: outputs match the oracle for n < {limit}: "
                  f"{'ok' if bad == 0 else f'{bad} FAIL'}")
@@ -126,25 +136,11 @@ def _selftest_suite(name, spec, oracle, limit, expect_states, to_base):
 
 
 def _cmd_selftest(_args: argparse.Namespace) -> int:
-    def base2(n):
-        return [int(b) for b in bin(n)[2:]]
-
-    def base3(n):
-        out = []
-        while n:
-            n, r = divmod(n, 3)
-            out.append(r)
-        return out
-
-    ok1, lines1 = _selftest_suite(
-        "digit-parity", thue_morse_spec(), thue_morse_oracle, 2048, 2, base2
-    )
+    ok1, lines1 = _selftest_suite("digit-parity", thue_morse_spec(), thue_morse_oracle, 2048, 2)
     ok2, lines2 = _selftest_suite(
-        "lucas", central_binomial_spec(), central_binomial_mod3_oracle, 2187, 3, base3
+        "lucas", central_binomial_spec(), central_binomial_mod3_oracle, 2187, 3
     )
-    ok3, lines3 = _selftest_suite(
-        "all-ones", all_ones_spec(), lambda digits: 1, 512, 1, base2
-    )
+    ok3, lines3 = _selftest_suite("all-ones", all_ones_spec(), lambda digits: 1, 512, 1)
     for line in lines1 + lines2 + lines3:
         print(line)
     if ok1 and ok2 and ok3:

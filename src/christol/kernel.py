@@ -40,8 +40,7 @@ from typing import NamedTuple
 from .algebraic_series import (
     BivariatePolynomial,
     BranchSpec,
-    _shift_past_seed,
-    _start_coefficient,
+    _root_start,
     expand_branch,
 )
 from .errors import ChristolError, DimensionMismatch, NoBranch, StateCapExceeded
@@ -200,8 +199,12 @@ def recheck(rep: KernelRepresentation, spec: BranchSpec) -> bool:
     prefixes, the output vector, the matrix relations and alpha0 against
     them.  False means the closure was a truncation artifact (or the
     representation was tampered with); True upgrades the certificate to
-    the larger precision.
+    the larger precision.  ValueError for a representation without n_eq,
+    such as one from exact_representation(): it has no truncation to
+    recheck, and no basis series to replay.
     """
+    if rep.n_eq is None:
+        raise ValueError("recheck needs a representation from orbit_closure(), which has n_eq")
     big = 2 * rep.n_eq
     depth = max((len(el.path) for el in rep.basis), default=0)
     try:
@@ -305,8 +308,9 @@ def exact_representation(spec: BranchSpec, max_states: int = DEFAULT_MAX_STATES)
     T_r keeps the space deg_x A <= h = deg_x Q, deg_y A <= d = deg_y Q.
     The start A0 = y*Qy gives f itself, and A(0, a0)/Qy(0, a0) is the
     constant term of the series of A.  Where Qy(0, a0) = 0, the root is
-    f = s + x^(v+1)*g for the root g of the shifted polynomial Q~ of
-    _shift_past_seed(); then A0 = (s + x^(v+1)*z)*Q~_z, in the space
+    f = s + x^(v+1)*g for the root g of the shifted polynomial Q~ that
+    algebraic_series._root_start() gives, as it does to expand_branch();
+    then A0 = (s + x^(v+1)*z)*Q~_z, in the space
     deg_x A <= deg_x Q~ + v + 1, which T_r keeps as well.
 
     Two SpanTracker passes make the representation minimal (Berstel and
@@ -318,18 +322,18 @@ def exact_representation(spec: BranchSpec, max_states: int = DEFAULT_MAX_STATES)
     dimension of the section closure, the state alpha0 holds the
     coefficients of f at the indices of those strings, and b0 = e_1.
 
-    The seed is checked at every index, after the checks expand_branch()
-    makes at the start, and raises the same NoBranch.  StateCapExceeded
-    past max_states basis elements; ChristolError where Q^(p-1) would
-    have more than MAX_POWER_CELLS coefficients.
+    The seed is checked at every index, after the checks of the start
+    that expand_branch() makes too, and raises the same NoBranch.  The
+    check tabulates the columns M_w * b0, for w the base-p digits of
+    each index k below the seed length: the column of k is M_(k mod p)
+    times that of k // p, one product each, and its first entry is the
+    coefficient at k.  StateCapExceeded past max_states basis elements;
+    ChristolError where Q^(p-1) would have more than MAX_POWER_CELLS
+    coefficients.
     """
-    q, p = spec.q, spec.p
-    a0 = _start_coefficient(q, spec.seed)
-    seed = spec.seed or (a0,)
-    head = ()
-    if q.dy_at_origin(a0) == 0:
-        head, q = _shift_past_seed(q, seed, len(seed) + 1)
-        a0 = _start_coefficient(q, ())
+    p, seed = spec.p, spec.seed
+    # two past the seed, so past (a0,) too where the seed is empty
+    head, q, a0 = _root_start(spec.q, seed, len(seed) + 2)
     h, d = q.dx, q.dy
     cells = ((p - 1) * h + 1) * ((p - 1) * d + 1)
     if cells > MAX_POWER_CELLS:
@@ -371,16 +375,11 @@ def exact_representation(spec: BranchSpec, max_states: int = DEFAULT_MAX_STATES)
     slope_inv = pow(q.dy_at_origin(a0), p - 2, p)
     b0 = tuple(sum(vec[b] * pow(a0, b, p) for b in range(d + 1)) * slope_inv % p for vec in reach)
 
-    # the coefficient at k is e_0 * M_w * b0 for the digits w of k
+    # seen[k] = M_w * b0 for the digits w of k, least significant first
+    seen = [b0]
     for k in range(1, len(seed)):
-        col, n = b0, k
-        digits = []
-        while n:
-            n, r = divmod(n, p)
-            digits.append(r)
-        for r in reversed(digits):
-            col = _apply(rows[r], col, p)
-        if col[0] != seed[k]:
+        seen.append(_apply(rows[k % p], seen[k // p], p))
+        if seen[k][0] != seed[k]:
             raise NoBranch(k)
 
     # the observable quotient: columns M_w * b0 for digit strings w, the

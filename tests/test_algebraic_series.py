@@ -17,7 +17,6 @@ from christol import (
     verify_annihilation,
 )
 from christol import algebraic_series
-from christol.algebraic_series import _expand_newton
 from christol.examples import central_binomial_spec, shipped_specs, thue_morse_spec
 from support import (
     close_roots_case,
@@ -234,9 +233,9 @@ def test_roots_at_origin_evaluate_no_residue(monkeypatch):
     f = expand_branch(BranchSpec(q), 64)
     assert f.coeffs[0] == 1
     assert verify_annihilation(q, f)
-    # one evaluation, at the root found, when _expand_newton checks it
-    # as its seed; a residue scan would make 65521 more
-    assert evaluations == [1]
+    # the root comes from gcd(Q(0, y), y^p - y) and is not evaluated
+    # again; a residue scan would make 65521 evaluations
+    assert evaluations == []
 
 
 def test_seed_disambiguation_errors():
@@ -264,10 +263,7 @@ def test_over_long_consistent_seed_is_accepted():
 
 def test_engines_agree_on_shipped_specs():
     for _, spec in shipped_specs():
-        a = _expand_newton(spec.q, spec.seed, 512)
-        b = expand_baseline(spec.q, spec.seed, 512)
-        assert a == b
-        assert expand_branch(spec, 512) == a
+        assert expand_branch(spec, 512) == expand_baseline(spec.q, spec.seed, 512)
 
 
 def test_newton_matches_baseline_on_random_separable_specs():
@@ -278,7 +274,7 @@ def test_newton_matches_baseline_on_random_separable_specs():
         for _ in range(4):
             spec = random_separable_spec(rng, p)
             for n in (1, 2, 3, 127, 128, 129, 1000):
-                newton = _expand_newton(spec.q, spec.seed, n)
+                newton = expand_branch(spec, n)
                 assert newton == expand_baseline(spec.q, spec.seed, n), (spec, n)
                 assert newton.precision == n
 
@@ -317,6 +313,8 @@ def test_shift_expands_a_root_with_singular_slope():
     assert roots[0] != roots[1]
     assert expand_branch(BranchSpec(q, (0, 0)), 12).coeffs == roots[0].coeffs[:12]
     assert expand_branch(BranchSpec(q, (0, 2)), 1).coeffs == (0,)
+    # without a seed the one root 0 of Q(0, y) = y^2 still gives a_0
+    assert expand_branch(BranchSpec(q), 1).coeffs == (0,)
     # the seed 0 stops at index v = 1, and both branches extend it
     with pytest.raises(AmbiguousBranch) as info:
         expand_branch(BranchSpec(q, (0,)), 4)

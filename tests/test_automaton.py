@@ -297,24 +297,38 @@ def word_base(p: int) -> tuple:
     return P, k
 
 
-@pytest.mark.parametrize("loop_bits", [None, 0], ids=["default", "split-every-value"])
-def test_to_digits_matches_short_division_at_word_boundaries(monkeypatch, loop_bits):
-    # q = P^(2^i) is a split divisor of the word split, and values with
-    # 1, k-1, k and k+1 base-p digits end inside, at and past one word;
-    # with _LOOP_BITS = 0 every value goes through the level split, by
-    # default only values past _LOOP_BITS bits do
-    if loop_bits is not None:
-        monkeypatch.setattr(automaton, "_LOOP_BITS", loop_bits)
+def word_boundary_values(p: int) -> set:
+    """Values of 1, k-1, k and k+1 base-p digits, P^(2^i) - 1, P^(2^i)
+    and P^(2^i) + 1 for i < 7, and 2^1024 - 1, 2^1024 and 2^1024 + 1."""
+    P, k = word_base(p)
+    values = {2**1024 + e for e in (-1, 0, 1)}
+    for i in range(7):
+        q = P ** (2**i)
+        values |= {q - 1, q, q + 1}
+    for j in (1, k - 1, k, k + 1):
+        if j:
+            values |= {p ** (j - 1), p ** (j - 1) + 1, p**j - 1}
+    return values
+
+
+def every_small_value(p: int) -> set:
+    """Every value below 2 P + 2 (at most 4096 of them), then every value
+    within 32 of P^2: one and two words, and the carry into a third."""
+    P, _ = word_base(p)
+    values = set(range(min(2 * P + 2, 4096)))
+    values |= set(range(P * P - 32, P * P + 33))
+    return values
+
+
+@pytest.mark.parametrize(
+    "values", [word_boundary_values, every_small_value], ids=["default", "split-every-value"]
+)
+def test_to_digits_matches_short_division_at_word_boundaries(values):
+    # q = P^(2^i) is a split divisor of the word split; every value,
+    # however short, goes through the level split, so the second case
+    # runs it on every value of one and two words
     for p in WORD_PRIMES:
-        P, k = word_base(p)
-        values = {2**automaton._LOOP_BITS + e for e in (-1, 0, 1)}
-        for i in range(7):
-            q = P ** (2**i)
-            values |= {q - 1, q, q + 1}
-        for j in (1, k - 1, k, k + 1):
-            if j:
-                values |= {p ** (j - 1), p ** (j - 1) + 1, p**j - 1}
-        for v in sorted(values):
+        for v in sorted(values(p)):
             n = decimal_str(v)
             want = short_division_lsd(n, p)
             assert to_digits_lsd(n, p) == want, (p, v)

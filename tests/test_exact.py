@@ -139,6 +139,34 @@ def test_wrong_and_short_seeds_give_the_expansion_error(capsys, tmp_path):
         assert isinstance(error, kind) and error.index == 0
 
 
+def test_long_seeds_are_checked_at_every_digit_level(capsys, tmp_path):
+    # seeds of 100 to 300 coefficients reach indices of up to 9 base-2
+    # digits, so the seed check reads columns of every length up to there;
+    # on the close roots the changed entry lies past the prefix that picks
+    # the root, where the root is unique
+    rng = random.Random(20261027)
+    specs = [random_separable_spec(rng, p, dx, dy) for p, dx, dy, _count in SEPARABLE_FAMILIES[:4]]
+    for p in (2, 3, 5, 7):
+        text, _r, seed = close_roots_case(rng, p, rng.randint(1, 3))
+        specs.append(BranchSpec(parse_bivariate(text, p), seed))
+    for spec in specs:
+        f = expand_branch(spec, rng.randint(100, 300)).coeffs
+        assert run_automaton(capsys, tmp_path, BranchSpec(spec.q, f)) == run_automaton(capsys, tmp_path, spec)
+        for _ in range(3):
+            k = rng.randrange(max(1, len(spec.seed)), len(f))
+            seed = f[:k] + ((f[k] + rng.randrange(1, spec.p)) % spec.p,) + f[k + 1 :]
+            bad = BranchSpec(spec.q, seed)
+            with pytest.raises(ChristolError) as want:
+                expand_branch(bad, len(seed) + 1)
+            with pytest.raises(type(want.value)) as got:
+                exact_representation(bad)
+            assert (got.value.index, str(got.value)) == (want.value.index, str(want.value)), (spec, k)
+            assert run_automaton(capsys, tmp_path, bad) == (1, "", f"error: {want.value}\n", None)
+            # where Newton applies from a0, the changed entry itself is refused
+            if spec.q.dy_at_origin(spec.seed[0]):
+                assert type(want.value) is NoBranch and want.value.index == k, (spec, k)
+
+
 def test_automaton_needs_no_expansion_closure_or_recheck(capsys, tmp_path, monkeypatch):
     rng = random.Random(20261024)
     text, _r, seed = close_roots_case(rng, 3, 2)

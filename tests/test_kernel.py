@@ -13,6 +13,7 @@ from christol import (
     alpha_output,
     alpha_step,
     dfao_from_linear,
+    exact_representation,
     expand_branch,
     orbit_closure,
     parse_bivariate,
@@ -157,6 +158,13 @@ def test_recheck_catches_wrong_spec():
     # a representation certified for one series fails against another
     rep = orbit_closure(thue_morse_spec())
     assert not recheck(rep, all_ones_spec())
+
+
+def test_recheck_needs_a_truncated_closure():
+    # the exact representation has no n_eq and no basis series to replay
+    spec = thue_morse_spec()
+    with pytest.raises(ValueError, match="recheck needs a representation from orbit_closure"):
+        recheck(exact_representation(spec), spec)
 
 
 def test_zero_root_has_an_empty_basis():
