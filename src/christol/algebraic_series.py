@@ -451,18 +451,20 @@ def _root_start(q: BivariatePolynomial, seed, n: int):
     """Where the Newton iteration for the first n >= 1 coefficients of the
     root of q extending seed starts: (head, qt, a0), the root being head
     followed by the root of qt through a0, at which qt has unit slope.
-    Where the seed already gives those n coefficients, head is them and
-    qt and a0 are None.
+    Callers pass n >= len(seed).  Where the seed (or (a0,)) stops short
+    of the shift below, it is all that is known of the root; if it has
+    an extension and n does not run past it, head is the seed and qt and
+    a0 are None.
 
     a0 is the first coefficient: seed[0] if it is a root of Q(0, y),
     else the one root of Q(0, y) in F_p.  Where Qy(0, a0) != 0, head is
     () and qt is q.  Otherwise the coefficient of x^k in Q(x, s) does
     not depend on s beyond index k-1, so the seed (or (a0,)) is checked
-    index by index below min(n, len(seed)) first.  If Qy has valuation v
-    along it, the shift y = s + x^(v+1)*z (Kung and Traub, J. ACM 1978)
-    turns the root into one of unit slope; that needs the seed to run
-    one coefficient past v.  A shorter seed, or an inseparable Q, leaves
-    the next coefficient undetermined or impossible.  Then head is the
+    index by index below its length first.  If Qy has valuation v along
+    it, the shift y = s + x^(v+1)*z (Kung and Traub, J. ACM 1978) turns
+    the root into one of unit slope; that needs the seed to run one
+    coefficient past v.  A shorter seed, or an inseparable Q, leaves the
+    next coefficient undetermined or impossible.  Then head is the
     prefix s = seed[:v+1] and qt the shifted Q.
 
     Only the seed entries these checks cover are compared here: the
@@ -475,15 +477,15 @@ def _root_start(q: BivariatePolynomial, seed, n: int):
     size = len(seed)
     s = TruncatedSeries._of(p, seed + (0,))
     value = q.evaluate(s).coeffs
-    for k in range(min(n, size)):
+    for k in range(size):
         if value[k]:
             raise NoBranch(k)
-    if n <= size:
-        return seed[:n], None, None
     slope = q.evaluate_dy(s).coeffs[:size]
     v = next((k for k, c in enumerate(slope) if c), size)
     if v == size:
-        raise (NoBranch if value[size] else AmbiguousBranch)(size)
+        if value[size] or n > size:
+            raise (NoBranch if value[size] else AmbiguousBranch)(size)
+        return seed, None, None
     head = seed[: v + 1]
     qt = _shift(q, head, v)
     return head, qt, _start_coefficient(qt, ())
@@ -496,22 +498,23 @@ def expand_branch(spec: BranchSpec, n: int) -> TruncatedSeries:
     must show the valuation v of dQ/dy along the root and one more
     coefficient; the shift past that prefix leaves a root of unit slope,
     again expanded by Newton.  The seed beyond the start is not
-    consumed, only checked: the branch is already unique there, so a
-    disagreeing seed means no branch at all.
+    consumed, only checked, every entry of it, also those at or past n:
+    the branch is already unique there, so a disagreeing seed means no
+    branch at all.
     """
     if n < 0:
         raise ValueError(f"term count must be nonnegative, got {n}")
-    if n == 0:
-        return TruncatedSeries(spec.p)
     seed = spec.seed
-    head, qt, a0 = _root_start(spec.q, seed, n)
-    if qt is None:
-        return TruncatedSeries._of(spec.p, head)
-    f = head + _expand_newton(qt, a0, n - len(head)).coeffs
-    for k in range(1, min(len(seed), n)):
-        if f[k] != seed[k]:
+    total = max(n, len(seed))
+    if total == 0:
+        return TruncatedSeries(spec.p)
+    head, qt, a0 = _root_start(spec.q, seed, total)
+    if qt is not None:
+        head += _expand_newton(qt, a0, total - len(head)).coeffs
+    for k in range(1, len(seed)):
+        if head[k] != seed[k]:
             raise NoBranch(k)
-    return TruncatedSeries._of(spec.p, f)
+    return TruncatedSeries._of(spec.p, head[:n])
 
 
 def verify_annihilation(q: BivariatePolynomial, f: TruncatedSeries) -> bool:

@@ -2,8 +2,9 @@
 
 Subcommands: expand, weed, automaton, query, algebraize, selftest.
 Exit codes: 0 success, 1 a computation failed (one-line diagnostic on
-stderr), 2 bad usage.  Stdout carries only the machine-readable result
-and is byte-identical for identical argv.
+stderr), 2 bad usage (one "usage error:" line on stderr).  Stdout
+carries only the machine-readable result and is byte-identical for
+identical argv.
 """
 
 import argparse
@@ -28,6 +29,7 @@ from .examples import (
     thue_morse_oracle,
     thue_morse_spec,
 )
+from .finite_field import parse_natural
 from .kernel import DEFAULT_MAX_STATES, DEFAULT_N_EQ, ClosureConfig, exact_representation
 from .kernel import orbit_closure, recheck
 from .power_series import parse_series
@@ -38,18 +40,27 @@ class _UsageError(Exception):
     pass
 
 
-def _parse_seed(text: str, p: int) -> tuple:
-    if not text:
-        return ()
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, as the handlers report bad usage
+        self.exit(2, f"usage error: {message}\n")
+
+
+def _natural(text: str) -> int:
+    """The type of every integer option: parse_natural(), whose message
+    shows the value cut short."""
     try:
-        return parse_series(text, p).coeffs
-    except ValueError as exc:
-        raise _UsageError(f"bad seed: {exc}") from exc
+        return parse_natural(text)
+    except MalformedNumber as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _branch_spec(args: argparse.Namespace) -> BranchSpec:
     q = parse_bivariate(args.poly, args.p)
-    return BranchSpec(q, seed=_parse_seed(args.seed, args.p))
+    try:
+        seed = parse_series(args.seed, args.p).coeffs if args.seed else ()
+    except ValueError as exc:
+        raise _UsageError(f"bad seed: {exc}") from exc
+    return BranchSpec(q, seed=seed)
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
@@ -104,97 +115,86 @@ def _base_digits(n: int, p: int) -> list:
     return out
 
 
-def _selftest_suite(name, spec, oracle, limit, expect_states):
-    """The production machine of spec against the orbit oracles."""
-    lines = []
+def _selftest_suite(name, spec, oracle, limit, expect_states) -> list:
+    """The production machine of spec against the orbit oracles: one
+    report line per check, ending in ok or FAIL."""
     rep = orbit_closure(spec)
     machine = dfao_from_linear(exact_representation(spec))
-    ok = machine == minimize(build_dfao(spec)) and machine == dfao_from_linear(rep)
-    lines.append(f"{name}: minimized flavors agree with {machine.n_states} states: "
-                 f"{'ok' if ok else 'FAIL'}")
-    if machine.n_states != expect_states:
-        ok = False
-        lines.append(f"{name}: expected {expect_states} states, got {machine.n_states}: FAIL")
-    bad = 0
-    for n in range(limit):
-        if query(machine, str(n)) != oracle(_base_digits(n, spec.p)):
-            bad += 1
-    lines.append(f"{name}: outputs match the oracle for n < {limit}: "
-                 f"{'ok' if bad == 0 else f'{bad} FAIL'}")
-    if bad:
-        ok = False
-    if not recheck(rep, spec):
-        ok = False
-        lines.append(f"{name}: recheck at doubled precision: FAIL")
-    else:
-        lines.append(f"{name}: recheck at doubled precision: ok")
-    round_trip = dfao_from_json(dfao_to_json(machine)) == machine
-    if not round_trip:
-        ok = False
-    lines.append(f"{name}: serialization round trip: {'ok' if round_trip else 'FAIL'}")
-    return ok, lines
+    agree = machine == minimize(build_dfao(spec)) and machine == dfao_from_linear(rep)
+    bad = sum(query(machine, str(n)) != oracle(_base_digits(n, spec.p)) for n in range(limit))
+    checks = [
+        (f"minimized flavors agree with {machine.n_states} states", "ok" if agree else "FAIL"),
+        *([(f"expected {expect_states} states, got {machine.n_states}", "FAIL")]
+          if machine.n_states != expect_states else []),
+        (f"outputs match the oracle for n < {limit}", f"{bad} FAIL" if bad else "ok"),
+        ("recheck at doubled precision", "ok" if recheck(rep, spec) else "FAIL"),
+        ("serialization round trip",
+         "ok" if dfao_from_json(dfao_to_json(machine)) == machine else "FAIL"),
+    ]
+    return [f"{name}: {label}: {verdict}" for label, verdict in checks]
 
 
 def _cmd_selftest(_args: argparse.Namespace) -> int:
-    ok1, lines1 = _selftest_suite("digit-parity", thue_morse_spec(), thue_morse_oracle, 2048, 2)
-    ok2, lines2 = _selftest_suite(
-        "lucas", central_binomial_spec(), central_binomial_mod3_oracle, 2187, 3
-    )
-    ok3, lines3 = _selftest_suite("all-ones", all_ones_spec(), lambda digits: 1, 512, 1)
-    for line in lines1 + lines2 + lines3:
-        print(line)
-    if ok1 and ok2 and ok3:
-        print("selftest: ok")
-        return 0
-    print("selftest: FAIL")
-    return 1
+    lines = _selftest_suite("digit-parity", thue_morse_spec(), thue_morse_oracle, 2048, 2)
+    lines += _selftest_suite("lucas", central_binomial_spec(), central_binomial_mod3_oracle, 2187, 3)
+    lines += _selftest_suite("all-ones", all_ones_spec(), lambda digits: 1, 512, 1)
+    ok = all(line.endswith(": ok") for line in lines)
+    print("\n".join(lines + [f"selftest: {'ok' if ok else 'FAIL'}"]))
+    return 0 if ok else 1
+
+
+_MODULUS = {"--p": dict(type=_natural, required=True, help="prime modulus")}
+# (name, handler, help line, {option string: add_argument keywords}),
+# in the order --help lists them
+_SUBCOMMANDS = (
+    ("expand", _cmd_expand, "expand a polynomial branch to N terms", {
+        **_MODULUS,
+        "--poly": dict(required=True, help="bivariate polynomial text"),
+        "--seed": dict(default="", help="comma-separated low-order coefficients"),
+        "--terms": dict(type=_natural, required=True, help="number of coefficients"),
+    }),
+    ("weed", _cmd_weed, "extract the subsequence a_{p*n+p-1-k}", {
+        **_MODULUS,
+        "--series": dict(required=True, help="comma-separated coefficients"),
+        "--degree": dict(type=_natural, required=True, help="weeding degree k"),
+    }),
+    ("automaton", _cmd_automaton, "build the coefficient automaton", {
+        **_MODULUS,
+        "--poly": dict(required=True),
+        "--seed": dict(default=""),
+        "--minimize": dict(action="store_true",
+                           help="accepted for compatibility; the machine written is minimal already"),
+        "--out": dict(required=True, help="output path for dfao-v1 JSON"),
+        "--dot": dict(default="", help="optional Graphviz output path"),
+        "--n-eq": dict(type=_natural, default=DEFAULT_N_EQ, help="accepted; the construction is exact"),
+        "--max-states": dict(type=_natural, default=DEFAULT_MAX_STATES,
+                             help="cap on the basis dimension and on the reachable vectors"),
+    }),
+    ("query", _cmd_query, "coefficient at index n from a saved automaton", {
+        "--automaton": dict(required=True, help="dfao-v1 JSON path"),
+        "--n": dict(required=True, help="decimal index, any length"),
+    }),
+    ("algebraize", _cmd_algebraize, "guess a defining polynomial for a series", {
+        **_MODULUS,
+        "--series-file": dict(required=True, help="file of comma-separated coefficients"),
+        "--dx": dict(type=_natural, required=True, help="x-degree bound"),
+        "--dy": dict(type=_natural, required=True, help="y-degree bound"),
+    }),
+    ("selftest", _cmd_selftest, "run the embedded oracle suites", {}),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="christol",
         description="Automata for coefficient sequences of algebraic power series over F_p.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_p(sp):
-        sp.add_argument("--p", type=int, required=True, help="prime modulus")
-
-    sp = sub.add_parser("expand", help="expand a polynomial branch to N terms")
-    add_p(sp)
-    sp.add_argument("--poly", required=True, help="bivariate polynomial text")
-    sp.add_argument("--seed", default="", help="comma-separated low-order coefficients")
-    sp.add_argument("--terms", type=int, required=True, help="number of coefficients")
-
-    sp = sub.add_parser("weed", help="extract the subsequence a_{p*n+p-1-k}")
-    add_p(sp)
-    sp.add_argument("--series", required=True, help="comma-separated coefficients")
-    sp.add_argument("--degree", type=int, required=True, help="weeding degree k")
-
-    sp = sub.add_parser("automaton", help="build the coefficient automaton")
-    add_p(sp)
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--seed", default="")
-    sp.add_argument("--minimize", action="store_true",
-                    help="accepted for compatibility; the machine written is minimal already")
-    sp.add_argument("--out", required=True, help="output path for dfao-v1 JSON")
-    sp.add_argument("--dot", default="", help="optional Graphviz output path")
-    sp.add_argument("--n-eq", type=int, default=DEFAULT_N_EQ,
-                    help="accepted; the construction is exact")
-    sp.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES,
-                    help="cap on the basis dimension and on the reachable vectors")
-
-    sp = sub.add_parser("query", help="coefficient at index n from a saved automaton")
-    sp.add_argument("--automaton", required=True, help="dfao-v1 JSON path")
-    sp.add_argument("--n", required=True, help="decimal index, any length")
-
-    sp = sub.add_parser("algebraize", help="guess a defining polynomial for a series")
-    add_p(sp)
-    sp.add_argument("--series-file", required=True, help="file of comma-separated coefficients")
-    sp.add_argument("--dx", type=int, required=True, help="x-degree bound")
-    sp.add_argument("--dy", type=int, required=True, help="y-degree bound")
-
-    sub.add_parser("selftest", help="run the embedded oracle suites")
+    for name, handler, summary, options in _SUBCOMMANDS:
+        sp = sub.add_parser(name, help=summary)
+        for flag, keywords in options.items():
+            sp.add_argument(flag, **keywords)
+        sp.set_defaults(handler=handler)
     return parser
 
 
@@ -205,16 +205,8 @@ def cli_main(argv) -> int:
     except SystemExit as exc:
         # argparse already printed its diagnostic
         return 0 if exc.code == 0 else 2
-    handlers = {
-        "expand": _cmd_expand,
-        "weed": _cmd_weed,
-        "automaton": _cmd_automaton,
-        "query": _cmd_query,
-        "algebraize": _cmd_algebraize,
-        "selftest": _cmd_selftest,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

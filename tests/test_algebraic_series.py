@@ -12,6 +12,7 @@ from christol import (
     NoBranch,
     PolynomialSyntaxError,
     TruncatedSeries,
+    exact_representation,
     expand_branch,
     parse_bivariate,
     verify_annihilation,
@@ -261,6 +262,33 @@ def test_over_long_consistent_seed_is_accepted():
     assert expand_branch(spec, 4).coeffs == f.coeffs[:4]
 
 
+def test_seed_entries_at_or_past_n_are_checked():
+    # the last seed entry has no branch: exact_representation() refuses
+    # it, and so must expand_branch(), however few terms it is asked for
+    cases = [
+        (thue_morse_spec().q, (0, 1, 1, 1), 3),
+        # singular slope: 0,0,1 passes Q up to x^2, but the one root
+        # through 0,0 has a_2 = 2
+        (parse_bivariate("y^2 + x*y + x^3", 3), (0, 0, 1), 2),
+    ]
+    for q, seed, index in cases:
+        with pytest.raises(NoBranch) as info:
+            exact_representation(BranchSpec(q, seed))
+        assert info.value.index == index
+        for n in range(len(seed) + 3):
+            with pytest.raises(NoBranch) as info:
+                expand_branch(BranchSpec(q, seed), n)
+            assert info.value.index == index, (seed, n)
+        good = expand_branch(BranchSpec(q, seed[:-1]), len(seed)).coeffs
+        assert expand_branch(BranchSpec(q, good), 2).coeffs == good[:2]
+    # y^2 + x over F_3 has no series root: Q(x, y) has x^1 coefficient 1
+    # whatever y with y(0) = 0, so even the first coefficient is refused
+    for n in (1, 2):
+        with pytest.raises(NoBranch) as info:
+            expand_branch(BranchSpec(parse_bivariate("y^2 + x", 3)), n)
+        assert info.value.index == 1
+
+
 def test_engines_agree_on_shipped_specs():
     for _, spec in shipped_specs():
         assert expand_branch(spec, 512) == expand_baseline(spec.q, spec.seed, 512)
@@ -361,10 +389,12 @@ def test_shift_expands_close_roots():
 
 
 def test_shift_against_the_baseline_on_singular_specs():
-    # The baseline returns at most the seed when dQ/dy(0, a0) = 0.  The
-    # shift must return the same series, keep every NoBranch, and turn an
-    # AmbiguousBranch only into the same error, a root extending the seed,
-    # or a NoBranch that a candidate search confirms.
+    # The baseline returns at most the seed when dQ/dy(0, a0) = 0, and it
+    # checks the seed only below the term count, so it runs to the end of
+    # the seed at least.  The shift must keep every NoBranch, and turn a
+    # series only into the same series and an AmbiguousBranch only into
+    # the same error or a root extending the seed, or else into a
+    # NoBranch that a candidate search confirms.
     rng = random.Random(6)
     outcomes = {}
     for case in range(6000):
@@ -381,35 +411,40 @@ def test_shift_against_the_baseline_on_singular_specs():
                 seed = seed[:k - 1] + (rng.randrange(p),) + seed[k:]
         n = rng.randint(1, 12)
         results = []
-        for expand in (expand_baseline, lambda q, seed, n: expand_branch(BranchSpec(q, seed), n)):
+        for expand, terms in ((expand_baseline, max(n, len(seed))),
+                              (lambda q, seed, n: expand_branch(BranchSpec(q, seed), n), n)):
             try:
-                results.append(expand(q, seed, n))
+                results.append(expand(q, seed, terms))
             except (AmbiguousBranch, NoBranch) as exc:
                 results.append(exc)
         old, new = results
+        if isinstance(old, TruncatedSeries):
+            old = TruncatedSeries(p, old.coeffs[:n])
         kind = (type(old).__name__, type(new).__name__)
         outcomes[kind] = outcomes.get(kind, 0) + 1
         where = (q, seed, n)
-        if isinstance(old, TruncatedSeries):
-            assert new == old, where
-        elif isinstance(old, NoBranch):
+        if isinstance(old, NoBranch):
             assert isinstance(new, NoBranch), where
         elif isinstance(new, AmbiguousBranch):
-            assert new.index == old.index, where
+            assert isinstance(old, AmbiguousBranch) and new.index == old.index, where
         elif isinstance(new, TruncatedSeries):
+            if isinstance(old, TruncatedSeries):
+                assert new == old, where
             assert new.precision == n and new.coeffs[: len(seed)] == seed[:n], where
             assert verify_annihilation(q, new), where
         else:
             # a root extending the seed agrees with the root of the shift
-            # past index new.index + v, so candidates that deep must die out
+            # past index new.index + v, so candidates that deep must die
+            # out; where the seed shows no valuation v, at once
             dq = [[j * c for j, c in enumerate(row)][1:] for row in q.coeffs]
             slope = naive_compose(dq, p, seed, len(seed))
-            v = next(k for k, c in enumerate(slope) if c)
+            v = next((k for k, c in enumerate(slope) if c), 0)
             assert root_prefixes(q, seed, new.index + v + 1) == [], where
     assert outcomes[("TruncatedSeries", "TruncatedSeries")] > 500
     assert outcomes[("AmbiguousBranch", "TruncatedSeries")] > 500
     assert outcomes[("AmbiguousBranch", "NoBranch")] > 10
     assert outcomes[("NoBranch", "NoBranch")] > 500
+    assert outcomes[("TruncatedSeries", "NoBranch")] > 50
 
 
 def test_small_term_counts():

@@ -556,3 +556,160 @@ def test_automaton_json_matches_library(capsys, tmp_path):
     assert doc["format"] == "dfao-v1"
     assert doc["p"] == 3
     assert len(doc["states"]) == 3
+
+
+# Every subcommand: its line in `christol --help`, then its options in
+# usage order as (option string, metavar or None for a flag, default or
+# REQUIRED, help phrase or None)
+REQUIRED = object()
+SUBCOMMANDS = {
+    "expand": ("expand a polynomial branch to N terms", (
+        ("--p", "P", REQUIRED, "prime modulus"),
+        ("--poly", "POLY", REQUIRED, "bivariate polynomial text"),
+        ("--seed", "SEED", "", "comma-separated low-order coefficients"),
+        ("--terms", "TERMS", REQUIRED, "number of coefficients"),
+    )),
+    "weed": ("extract the subsequence a_{p*n+p-1-k}", (
+        ("--p", "P", REQUIRED, "prime modulus"),
+        ("--series", "SERIES", REQUIRED, "comma-separated coefficients"),
+        ("--degree", "DEGREE", REQUIRED, "weeding degree k"),
+    )),
+    "automaton": ("build the coefficient automaton", (
+        ("--p", "P", REQUIRED, "prime modulus"),
+        ("--poly", "POLY", REQUIRED, None),
+        ("--seed", "SEED", "", None),
+        ("--minimize", None, False,
+         "accepted for compatibility; the machine written is minimal already"),
+        ("--out", "OUT", REQUIRED, "output path for dfao-v1 JSON"),
+        ("--dot", "DOT", "", "optional Graphviz output path"),
+        ("--n-eq", "N_EQ", 64, "accepted; the construction is exact"),
+        ("--max-states", "MAX_STATES", 4096,
+         "cap on the basis dimension and on the reachable vectors"),
+    )),
+    "query": ("coefficient at index n from a saved automaton", (
+        ("--automaton", "AUTOMATON", REQUIRED, "dfao-v1 JSON path"),
+        ("--n", "N", REQUIRED, "decimal index, any length"),
+    )),
+    "algebraize": ("guess a defining polynomial for a series", (
+        ("--p", "P", REQUIRED, "prime modulus"),
+        ("--series-file", "SERIES_FILE", REQUIRED, "file of comma-separated coefficients"),
+        ("--dx", "DX", REQUIRED, "x-degree bound"),
+        ("--dy", "DY", REQUIRED, "y-degree bound"),
+    )),
+    "selftest": ("run the embedded oracle suites", ()),
+}
+
+
+def help_page(capsys, *argv):
+    """The --help text of argv, whitespace runs folded into one space
+    and cut at the first blank line: usage first, the rest second.  The
+    line breaks differ between Python versions; the words do not."""
+    code, out, err = run(capsys, *argv, "--help")
+    assert (code, err) == (0, "")
+    usage, rest = out.split("\n\n", 1)
+    return " ".join(usage.split()), " ".join(rest.split())
+
+
+def test_top_level_help_lists_every_subcommand(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    usage, rest = help_page(capsys)
+    names = ",".join(SUBCOMMANDS)
+    assert usage == f"usage: christol [-h] {{{names}}} ..."
+    assert rest.startswith(
+        "Automata for coefficient sequences of algebraic power series over F_p."
+    )
+    listing = " ".join(f"{name} {summary}" for name, (summary, _) in SUBCOMMANDS.items())
+    assert f"{{{names}}} {listing} " in rest
+    assert rest.endswith("-h, --help show this help message and exit")
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_subcommand_help_names_every_option(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    options = SUBCOMMANDS[name][1]
+    usage, rest = help_page(capsys, name)
+    parts = []
+    for flag, metavar, default, _ in options:
+        part = f"{flag} {metavar}" if metavar else flag
+        parts.append(part if default is REQUIRED else f"[{part}]")
+    assert usage == " ".join([f"usage: christol {name} [-h]", *parts])
+    described = ["-h, --help show this help message and exit"]
+    for flag, metavar, _, phrase in options:
+        described += [f"{flag} {metavar}" if metavar else flag] + ([phrase] if phrase else [])
+    assert rest.endswith(" ".join(described))
+    # the defaults, as a command line naming only the required options reads them
+    argv = [name]
+    for flag, _, default, _ in options:
+        if default is REQUIRED:
+            argv += [flag, "2"]
+    args = cli._build_parser().parse_args(argv)
+    for flag, _, default, _ in options:
+        if default is not REQUIRED:
+            assert getattr(args, flag[2:].replace("-", "_")) == default, flag
+
+
+# Every integer option, with the subcommand that reads it; a valid value
+# of each option sits in INTEGER_ARGV
+INTEGER_OPTIONS = {
+    "--p": "expand", "--terms": "expand", "--degree": "weed",
+    "--n-eq": "automaton", "--max-states": "automaton",
+    "--dx": "algebraize", "--dy": "algebraize",
+}
+
+
+def integer_argv(tmp_path, option, value=None):
+    """A command line of the subcommand that reads option, with its value
+    replaced by value where one is given."""
+    series = tmp_path / "ones.txt"
+    series.write_text("1,1,1,1,1,1,1,1\n")
+    argv = {
+        "expand": ["--p", "2", "--poly", "(1+x)*y + 1", "--terms", "4"],
+        "weed": ["--p", "3", "--series", "0,1,2", "--degree", "1"],
+        "automaton": ["--p", "2", "--poly", "(1+x)*y + 1", "--out", str(tmp_path / "m.json"),
+                      "--n-eq", "8", "--max-states", "16"],
+        "algebraize": ["--p", "2", "--series-file", str(series), "--dx", "1", "--dy", "1"],
+    }[INTEGER_OPTIONS[option]]
+    if value is not None:
+        argv[argv.index(option) + 1] = value
+    return [INTEGER_OPTIONS[option], *argv]
+
+
+@pytest.mark.parametrize("option", INTEGER_OPTIONS)
+def test_integer_option_command_lines_run(capsys, tmp_path, option):
+    code, out, err = run(capsys, *integer_argv(tmp_path, option))
+    assert (code, err) == (0, "") and out
+
+
+@pytest.mark.parametrize(
+    "value", [" 2", "+2", "2_0", "٢", "-3", "9" * 2500 + "_" + "9" * 2500],
+    ids=["space", "plus", "underscore", "arabic-indic", "minus", "5000-digits"],
+)
+@pytest.mark.parametrize("option", INTEGER_OPTIONS)
+def test_integer_options_are_plain_decimal_naturals(capsys, tmp_path, option, value):
+    # int() takes all but the minus sign; parse_natural, the one reader of
+    # decimal naturals, takes none of them, and the value shows cut short
+    code, out, err = run(capsys, *integer_argv(tmp_path, option, value))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.endswith("\n"), err[:200]
+    assert len(err.encode()) <= 200, err[:200]
+    assert option in err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--p", "4"), ("--n-eq", "7"), ("--max-states", "0"), ("--dy", "0"), ("--degree", "3"),
+])
+def test_integer_options_out_of_range_are_computation_errors(capsys, tmp_path, option, value):
+    code, out, err = run(capsys, *integer_argv(tmp_path, option, value))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_expand_refuses_a_seed_past_the_term_count(capsys, tmp_path):
+    # the seed's last entry has no branch; automaton refuses it, and so
+    # must expand, however few terms it is asked for
+    seed = ["--seed", "0,1,1,1"]
+    failure = (1, "", "error: no coefficient 3 extends the partial solution\n")
+    for terms in ("0", "2", "4", "8"):
+        assert run(capsys, "expand", *TM_ARGS[:4], *seed, "--terms", terms) == failure
+    assert run(capsys, "automaton", *TM_ARGS[:4], *seed, "--out", str(tmp_path / "m.json")) == failure
+    assert run(capsys, "expand", *TM_ARGS[:4], "--seed", "0,1,1,0", "--terms", "2") == (0, "0,1\n", "")

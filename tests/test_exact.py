@@ -161,6 +161,11 @@ def test_long_seeds_are_checked_at_every_digit_level(capsys, tmp_path):
             with pytest.raises(type(want.value)) as got:
                 exact_representation(bad)
             assert (got.value.index, str(got.value)) == (want.value.index, str(want.value)), (spec, k)
+            # expand_branch() checks the whole seed, whatever its term count
+            for n in (0, 1, k, k + 1):
+                with pytest.raises(type(want.value)) as got:
+                    expand_branch(bad, n)
+                assert str(got.value) == str(want.value), (spec, k, n)
             assert run_automaton(capsys, tmp_path, bad) == (1, "", f"error: {want.value}\n", None)
             # where Newton applies from a0, the changed entry itself is refused
             if spec.q.dy_at_origin(spec.seed[0]):
