@@ -13,17 +13,18 @@ length.  Degrees are capped at 64 in each variable so a typo like
 x^999999 fails fast instead of allocating, and parentheses nest at most
 100 deep, so deeper text is a syntax error, not a RecursionError.
 
-expand_branch() grows the unique power series f with Q(x, f) = 0 that
-extends a given seed of low-order coefficients.  Its one engine is a
-Newton iteration with precision doubling, which reaches large precision
-in a logarithmic number of series multiplications once dQ/dy is a unit
-at the start.  A simple root where dQ/dy vanishes at the start is
+The BranchSpec constructor checks that a seed of low-order
+coefficients picks exactly one power series f with Q(x, f) = 0, and
+expand_branch() grows that f.  Its one engine is a Newton iteration
+with precision doubling, which reaches large precision in a
+logarithmic number of series multiplications once dQ/dy is a unit at
+the start.  A simple root where dQ/dy vanishes at the start is
 first shifted past the seed prefix that shows the valuation of dQ/dy
 along it; the shifted polynomial has a root of unit slope.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     AmbiguousBranch,
@@ -305,14 +306,23 @@ def parse_bivariate(text: str, p: int) -> BivariatePolynomial:
 @dataclass(frozen=True)
 class BranchSpec:
     """A defining polynomial plus the seed coefficients that pick one of
-    its power-series roots.  The seed is exactly as many low-order
-    coefficients as it takes to make the branch unique."""
+    its power-series roots.  The constructor is the one check of a
+    branch: NoBranch where no root extends the seed, AmbiguousBranch
+    where the seed stops before the root is determined, whatever the
+    number of terms asked later.  It keeps the start (head, qt, a0) that
+    _root_start() finds; equality, hash and repr read q and seed alone."""
 
     q: BivariatePolynomial
     seed: tuple = ()
+    head: tuple = field(init=False, compare=False, repr=False)
+    qt: BivariatePolynomial = field(init=False, compare=False, repr=False)
+    a0: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", tuple(int(c) % self.q.p for c in self.seed))
+        seed = tuple(int(c) % self.q.p for c in self.seed)
+        head, qt, a0 = _root_start(self.q, seed)
+        for name, value in (("seed", seed), ("head", head), ("qt", qt), ("a0", a0)):
+            object.__setattr__(self, name, value)
 
     @property
     def p(self) -> int:
@@ -398,7 +408,7 @@ def _start_coefficient(q: BivariatePolynomial, seed) -> int:
 
 
 def _expand_newton(q: BivariatePolynomial, a0: int, n: int) -> TruncatedSeries:
-    """First n >= 1 coefficients of the root of q through a0, by the Newton
+    """First n >= 0 coefficients of the root of q through a0, by the Newton
     iteration f <- f - Q(x,f)/Qy(x,f) with precision doubling.
 
     Requires Qy(0, a0) != 0, which keeps the divisor a unit throughout.
@@ -447,14 +457,13 @@ def _shift(q: BivariatePolynomial, head, v: int) -> BivariatePolynomial:
     )
 
 
-def _root_start(q: BivariatePolynomial, seed, n: int):
-    """Where the Newton iteration for the first n >= 1 coefficients of the
-    root of q extending seed starts: (head, qt, a0), the root being head
-    followed by the root of qt through a0, at which qt has unit slope.
-    Callers pass n >= len(seed).  Where the seed (or (a0,)) stops short
-    of the shift below, it is all that is known of the root; if it has
-    an extension and n does not run past it, head is the seed and qt and
-    a0 are None.
+def _root_start(q: BivariatePolynomial, seed):
+    """Where the root of q extending seed starts, for the BranchSpec
+    constructor, which alone calls this: (head, qt, a0), the root being
+    head followed by the root of qt through a0, at which qt has unit
+    slope.  Every seed entry is checked: NoBranch where no root extends
+    the seed, AmbiguousBranch where the seed stops before the root is
+    determined.
 
     a0 is the first coefficient: seed[0] if it is a root of Q(0, y),
     else the one root of Q(0, y) in F_p.  Where Qy(0, a0) != 0, head is
@@ -467,58 +476,49 @@ def _root_start(q: BivariatePolynomial, seed, n: int):
     next coefficient undetermined or impossible.  Then head is the
     prefix s = seed[:v+1] and qt the shifted Q.
 
-    Only the seed entries these checks cover are compared here: the
-    caller compares the rest with the root it finds.
+    The root is then unique, and the seed is compared with its Newton
+    expansion to the seed's length.
     """
     a0 = _start_coefficient(q, seed)
-    if q.dy_at_origin(a0):
-        return (), q, a0
-    seed, p = seed or (a0,), q.p
-    size = len(seed)
-    s = TruncatedSeries._of(p, seed + (0,))
-    value = q.evaluate(s).coeffs
-    for k in range(size):
-        if value[k]:
-            raise NoBranch(k)
-    slope = q.evaluate_dy(s).coeffs[:size]
-    v = next((k for k, c in enumerate(slope) if c), size)
-    if v == size:
-        if value[size] or n > size:
+    head, qt = (), q
+    if not q.dy_at_origin(a0):
+        known, p = seed or (a0,), q.p
+        size = len(known)
+        s = TruncatedSeries._of(p, known + (0,))
+        value = q.evaluate(s).coeffs
+        for k in range(size):
+            if value[k]:
+                raise NoBranch(k)
+        slope = q.evaluate_dy(s).coeffs[:size]
+        v = next((k for k, c in enumerate(slope) if c), size)
+        if v == size:
             raise (NoBranch if value[size] else AmbiguousBranch)(size)
-        return seed, None, None
-    head = seed[: v + 1]
-    qt = _shift(q, head, v)
-    return head, qt, _start_coefficient(qt, ())
+        head = seed[: v + 1]
+        qt = _shift(q, head, v)
+        a0 = _start_coefficient(qt, ())
+    root = head + _expand_newton(qt, a0, len(seed) - len(head)).coeffs
+    for k, c in enumerate(seed):
+        if root[k] != c:
+            raise NoBranch(k)
+    return head, qt, a0
 
 
 def expand_branch(spec: BranchSpec, n: int) -> TruncatedSeries:
     """First n coefficients of the series root of spec.q extending spec.seed.
 
-    Newton iteration when dQ/dy(0, a0) is a unit.  Otherwise the seed
-    must show the valuation v of dQ/dy along the root and one more
-    coefficient; the shift past that prefix leaves a root of unit slope,
-    again expanded by Newton.  The seed beyond the start is not
-    consumed, only checked, every entry of it, also those at or past n:
-    the branch is already unique there, so a disagreeing seed means no
-    branch at all.
+    The BranchSpec constructor has checked the seed, every entry of it,
+    and found where the root starts: the head it took from the seed, then
+    the Newton iteration on the polynomial of unit slope there, which is
+    spec.q itself where dQ/dy(0, a0) is a unit and the shift past the
+    head otherwise.
     """
     if n < 0:
         raise ValueError(f"term count must be nonnegative, got {n}")
-    seed = spec.seed
-    total = max(n, len(seed))
-    if total == 0:
-        return TruncatedSeries(spec.p)
-    head, qt, a0 = _root_start(spec.q, seed, total)
-    if qt is not None:
-        head += _expand_newton(qt, a0, total - len(head)).coeffs
-    for k in range(1, len(seed)):
-        if head[k] != seed[k]:
-            raise NoBranch(k)
-    return TruncatedSeries._of(spec.p, head[:n])
+    head = spec.head[:n]
+    return TruncatedSeries._of(spec.p, head + _expand_newton(spec.qt, spec.a0, n - len(head)).coeffs)
 
 
 def verify_annihilation(q: BivariatePolynomial, f: TruncatedSeries) -> bool:
-    """Does Q(x, f) vanish to f's precision?  Vacuously true at precision 0."""
-    if q.p != f.p:
-        raise ModulusMismatch(f"mixed moduli {q.p} and {f.p}")
+    """Does Q(x, f) vanish to f's precision?  Vacuously true at precision 0;
+    ModulusMismatch, from the evaluation, where f lives over another field."""
     return q.evaluate(f).is_zero()

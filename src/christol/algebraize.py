@@ -21,6 +21,7 @@ certificate, never a different normalized Q).
 
 from .algebraic_series import BivariatePolynomial, verify_annihilation
 from .errors import NoRelationFound
+from .finite_field import brief
 from .kernel import KernelRepresentation, alpha_output, alpha_step
 from .linalg import first_dependency
 from .power_series import TruncatedSeries, cauchy_product
@@ -99,13 +100,13 @@ def guess_polynomial(f: TruncatedSeries, dx: int, dy: int) -> BivariatePolynomia
     shrink the kernel.
     """
     if dx < 0 or dy < 1:
-        raise ValueError(f"degree bounds must have dx >= 0 and dy >= 1, got ({dx}, {dy})")
+        raise ValueError(f"degree bounds must have dx >= 0 and dy >= 1, got ({brief(dx)}, {brief(dy)})")
     k = (dx + 1) * (dy + 1)
     needed = k + dx + dy
     n = f.precision
     if n < needed:
         raise ValueError(
-            f"series precision {n} too small for bounds ({dx}, {dy}); need {needed}"
+            f"series precision {n} too small for bounds ({brief(dx)}, {brief(dy)}); need {brief(needed)}"
         )
     p = f.p
     r = min(n, 2 * k + 8)

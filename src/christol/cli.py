@@ -41,8 +41,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # one line, as the handlers report bad usage
-        self.exit(2, f"usage error: {message}\n")
+    def error(self, message):
+        # one line of at most 200 bytes, as the handlers report bad usage;
+        # argparse quotes whole values, so a long line loses its middle
+        line = f"usage error: {message}".encode()
+        if len(line) >= 200:
+            line = line[:100] + b"..." + line[-96:]
+        self.exit(2, line.decode(errors="ignore") + "\n")
 
 
 def _natural(text: str) -> int:

@@ -1,6 +1,7 @@
-"""Validation of the prime modulus p <= 2**16, and parse_natural(), the
-one reader of the decimal naturals that come from outside: query
-indices, series and seed entries, polynomial literals.
+"""Validation of the prime modulus p <= 2**16, parse_natural(), the
+one reader of the decimal naturals that come from outside (query
+indices, series and seed entries, polynomial literals), and brief(),
+which shows an int of any size in a message.
 
 Elements of F_p are plain int residues in [0, p) throughout the package.
 """
@@ -16,9 +17,9 @@ _PARSE_LEAF = 600
 
 
 def ensure_prime(p: int) -> int:
-    """Validate that p is a prime in [2, 2**16] and return it.  Messages
-    show p through reprlib, so a huge value prints cut short.  The type
-    is checked before the cache, which cannot hash a list."""
+    """Validate that p is a prime in [2, 2**16] and return it.  The range
+    message shows p through brief(), so a huge value prints cut short.
+    The type is checked before the cache, which cannot hash a list."""
     if not isinstance(p, int) or isinstance(p, bool):
         raise ValueError(f"modulus must be an int, got {reprlib.repr(p)}")
     return _checked_prime(p)
@@ -29,13 +30,22 @@ def _checked_prime(p: int) -> int:
     """Trial division is plenty at this size, and the cache makes repeated
     validation (one per series or machine construction) a dictionary hit."""
     if p < 2 or p > MAX_MODULUS:
-        raise ValueError(f"modulus {reprlib.repr(p)} outside the supported range [2, {MAX_MODULUS}]")
+        raise ValueError(f"modulus {brief(p)} outside the supported range [2, {MAX_MODULUS}]")
     d = 2
     while d * d <= p:
         if p % d == 0:
             raise ValueError(f"modulus {p} is not prime (divisible by {d})")
         d += 1
     return p
+
+
+def brief(n: int) -> str:
+    """n for a message, cut short by reprlib.  An int of more than
+    _PARSE_LEAF digits shows as its bit length instead, since the
+    interpreter may refuse to write it in decimal."""
+    if abs(n) < 10**_PARSE_LEAF:
+        return reprlib.repr(n)
+    return f"<int of {n.bit_length()} bits>"
 
 
 def parse_natural(text: str) -> int:

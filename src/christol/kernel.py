@@ -37,13 +37,8 @@ from functools import reduce
 from operator import mul
 from typing import NamedTuple
 
-from .algebraic_series import (
-    BivariatePolynomial,
-    BranchSpec,
-    _root_start,
-    expand_branch,
-)
-from .errors import ChristolError, DimensionMismatch, NoBranch, StateCapExceeded
+from .algebraic_series import BivariatePolynomial, BranchSpec, expand_branch
+from .errors import ChristolError, DimensionMismatch, StateCapExceeded
 from .linalg import SpanTracker
 from .power_series import TruncatedSeries, cauchy_product
 from .weeding import section
@@ -207,11 +202,8 @@ def recheck(rep: KernelRepresentation, spec: BranchSpec) -> bool:
         raise ValueError("recheck needs a representation from orbit_closure(), which has n_eq")
     big = 2 * rep.n_eq
     depth = max((len(el.path) for el in rep.basis), default=0)
-    try:
-        # p*big coefficients at the deepest path, so each section keeps >= big
-        root = expand_branch(spec, rep.p * big * rep.p**depth)
-    except ChristolError:
-        return False
+    # p*big coefficients at the deepest path, so each section keeps >= big
+    root = expand_branch(spec, rep.p * big * rep.p**depth)
     fat = [reduce(section, el.path, root) for el in rep.basis]
     zs = [s.truncate(big) for s in fat]
 
@@ -308,10 +300,10 @@ def exact_representation(spec: BranchSpec, max_states: int = DEFAULT_MAX_STATES)
     T_r keeps the space deg_x A <= h = deg_x Q, deg_y A <= d = deg_y Q.
     The start A0 = y*Qy gives f itself, and A(0, a0)/Qy(0, a0) is the
     constant term of the series of A.  Where Qy(0, a0) = 0, the root is
-    f = s + x^(v+1)*g for the root g of the shifted polynomial Q~ that
-    algebraic_series._root_start() gives, as it does to expand_branch();
-    then A0 = (s + x^(v+1)*z)*Q~_z, in the space
-    deg_x A <= deg_x Q~ + v + 1, which T_r keeps as well.
+    f = s + x^(v+1)*g for the root g of the shifted polynomial Q~, with s
+    and Q~ the head and qt that the BranchSpec constructor found, as
+    expand_branch() reads them; then A0 = (s + x^(v+1)*z)*Q~_z, in the
+    space deg_x A <= deg_x Q~ + v + 1, which T_r keeps as well.
 
     Two SpanTracker passes make the representation minimal (Berstel and
     Reutenauer, Noncommutative Rational Series, ch. 2): the vectors
@@ -322,18 +314,11 @@ def exact_representation(spec: BranchSpec, max_states: int = DEFAULT_MAX_STATES)
     dimension of the section closure, the state alpha0 holds the
     coefficients of f at the indices of those strings, and b0 = e_1.
 
-    The seed is checked at every index, after the checks of the start
-    that expand_branch() makes too, and raises the same NoBranch.  The
-    check tabulates the columns M_w * b0, for w the base-p digits of
-    each index k below the seed length: the column of k is M_(k mod p)
-    times that of k // p, one product each, and its first entry is the
-    coefficient at k.  StateCapExceeded past max_states basis elements;
-    ChristolError where Q^(p-1) would have more than MAX_POWER_CELLS
-    coefficients.
+    The BranchSpec constructor has checked every seed entry already.
+    StateCapExceeded past max_states basis elements; ChristolError where
+    Q^(p-1) would have more than MAX_POWER_CELLS coefficients.
     """
-    p, seed = spec.p, spec.seed
-    # two past the seed, so past (a0,) too where the seed is empty
-    head, q, a0 = _root_start(spec.q, seed, len(seed) + 2)
+    p, head, q, a0 = spec.p, spec.head, spec.qt, spec.a0
     h, d = q.dx, q.dy
     cells = ((p - 1) * h + 1) * ((p - 1) * d + 1)
     if cells > MAX_POWER_CELLS:
@@ -374,13 +359,6 @@ def exact_representation(spec: BranchSpec, max_states: int = DEFAULT_MAX_STATES)
     reach, _, rows = _span_closure(p, [x % p for x in start], images)
     slope_inv = pow(q.dy_at_origin(a0), p - 2, p)
     b0 = tuple(sum(vec[b] * pow(a0, b, p) for b in range(d + 1)) * slope_inv % p for vec in reach)
-
-    # seen[k] = M_w * b0 for the digits w of k, least significant first
-    seen = [b0]
-    for k in range(1, len(seed)):
-        seen.append(_apply(rows[k % p], seen[k // p], p))
-        if seen[k][0] != seed[k]:
-            raise NoBranch(k)
 
     # the observable quotient: columns M_w * b0 for digit strings w, the
     # last digit applied first; cols[r][i] = coordinates of M_r u_i

@@ -20,6 +20,7 @@ alive as an independent cross-check.
 """
 
 from .errors import DegreeOutOfRange
+from .finite_field import brief
 from .power_series import TruncatedSeries
 
 
@@ -41,7 +42,7 @@ def weed(f: TruncatedSeries, k: int) -> TruncatedSeries:
     residue class sits below p-1.
     """
     if not 0 <= k < f.p:
-        raise DegreeOutOfRange(f"weeding degree {k} outside [0, {f.p})")
+        raise DegreeOutOfRange(f"weeding degree {brief(k)} outside [0, {f.p})")
     return section(f, f.p - 1 - k)
 
 
@@ -59,7 +60,7 @@ def weed_via_derivative(f: TruncatedSeries, k: int) -> TruncatedSeries:
     """
     p = f.p
     if not 0 <= k < p:
-        raise DegreeOutOfRange(f"weeding degree {k} outside [0, {p})")
+        raise DegreeOutOfRange(f"weeding degree {brief(k)} outside [0, {p})")
     g = (0,) * k + f.coeffs
     for _ in range(p - 1):
         g = tuple([j * c % p for j, c in enumerate(g)][1:])

@@ -9,6 +9,7 @@ from christol import (
     BranchSpec,
     ChristolError,
     DegreeOverflow,
+    ModulusMismatch,
     NoBranch,
     PolynomialSyntaxError,
     TruncatedSeries,
@@ -129,6 +130,21 @@ def test_to_text_round_trip():
     assert parse_bivariate("y+x*y+1", 2).to_text() == "1 + y + x*y"
 
 
+def test_polynomials_and_specs_compare_hash_and_print_by_value():
+    q = parse_bivariate("y^2 + x*y + x^3", 3)
+    same = BivariatePolynomial(3, [[0, 0, 1], [0, 1, 0], [0, 0, 0], [4, 0, 0]])
+    assert same == q and hash(same) == hash(q) and len({q, same}) == 1
+    assert repr(q) == "BivariatePolynomial(p=3, 'x^3 + x*y + y^2')"
+    # a spec keeps where its root starts, the seed up to the shift and
+    # a_2 = 2 of the root, but compares, hashes and prints by q and the
+    # seed reduced mod p alone
+    spec = BranchSpec(q, (0, 0))
+    assert (spec.head, spec.a0) == ((0, 0), 2) and spec.qt != q
+    assert BranchSpec(same, (3, 6)) == spec and len({spec, BranchSpec(same, (3, 6))}) == 1
+    assert BranchSpec(q, (0, 2)) != spec
+    assert repr(spec) == "BranchSpec(q=BivariatePolynomial(p=3, 'x^3 + x*y + y^2'), seed=(0, 0))"
+
+
 def test_grid_constructor_normalizes():
     q = BivariatePolynomial(2, [[0, 1], [1, 0], [0, 0]])  # trailing zero row
     assert q.coeffs == ((0, 1), (1, 0))
@@ -168,7 +184,8 @@ def test_expand_unique_root_needs_no_seed():
 
 
 def test_unseeded_expansion_scans_the_residues_once(monkeypatch):
-    # the root search at the origin runs once per unseeded expansion
+    # the root search at the origin runs once per unseeded spec, in its
+    # constructor; expansions and representations read the start it keeps
     scans = []
     root_product_at_origin = algebraic_series._root_product_at_origin
 
@@ -179,13 +196,17 @@ def test_unseeded_expansion_scans_the_residues_once(monkeypatch):
     monkeypatch.setattr(algebraic_series, "_root_product_at_origin", counting)
     for p, text in ((2, "(1+x)*y + 1"), (7, "(1+x)*y^3 + y + 3"), (65521, "(1+x)*y + 65520")):
         scans.clear()
-        f = expand_branch(BranchSpec(parse_bivariate(text, p)), 64)
-        assert verify_annihilation(parse_bivariate(text, p), f)
+        spec = BranchSpec(parse_bivariate(text, p))
+        f = expand_branch(spec, 64)
+        assert verify_annihilation(spec.q, f)
+        assert expand_branch(spec, 128).coeffs[:64] == f.coeffs
+        if p < 100:
+            assert exact_representation(spec).m
         assert scans == [p]
     # a root of singular slope the empty seed cannot pin down
     scans.clear()
     with pytest.raises(AmbiguousBranch):
-        expand_branch(BranchSpec(parse_bivariate("y^2 + x*y + x^3", 3)), 8)
+        BranchSpec(parse_bivariate("y^2 + x*y + x^3", 3))
     assert scans == [3]
 
 
@@ -263,8 +284,9 @@ def test_over_long_consistent_seed_is_accepted():
 
 
 def test_seed_entries_at_or_past_n_are_checked():
-    # the last seed entry has no branch: exact_representation() refuses
-    # it, and so must expand_branch(), however few terms it is asked for
+    # the last seed entry has no branch: the BranchSpec constructor
+    # refuses it, so neither exact_representation() nor expand_branch()
+    # runs, however few terms it would be asked for
     cases = [
         (thue_morse_spec().q, (0, 1, 1, 1), 3),
         # singular slope: 0,0,1 passes Q up to x^2, but the one root
@@ -273,20 +295,15 @@ def test_seed_entries_at_or_past_n_are_checked():
     ]
     for q, seed, index in cases:
         with pytest.raises(NoBranch) as info:
-            exact_representation(BranchSpec(q, seed))
+            BranchSpec(q, seed)
         assert info.value.index == index
-        for n in range(len(seed) + 3):
-            with pytest.raises(NoBranch) as info:
-                expand_branch(BranchSpec(q, seed), n)
-            assert info.value.index == index, (seed, n)
         good = expand_branch(BranchSpec(q, seed[:-1]), len(seed)).coeffs
         assert expand_branch(BranchSpec(q, good), 2).coeffs == good[:2]
     # y^2 + x over F_3 has no series root: Q(x, y) has x^1 coefficient 1
     # whatever y with y(0) = 0, so even the first coefficient is refused
-    for n in (1, 2):
-        with pytest.raises(NoBranch) as info:
-            expand_branch(BranchSpec(parse_bivariate("y^2 + x", 3)), n)
-        assert info.value.index == 1
+    with pytest.raises(NoBranch) as info:
+        BranchSpec(parse_bivariate("y^2 + x", 3))
+    assert info.value.index == 1
 
 
 def test_engines_agree_on_shipped_specs():
@@ -311,20 +328,18 @@ def test_baseline_handles_degenerate_slope():
     # y^2 + x^3 over F_2: the slope dQ/dy vanishes identically, so every
     # residue c extends the zero prefix at index 1 (Q(x, c*x) has nothing
     # below x^2)
-    spec = BranchSpec(parse_bivariate("y^2 + x^3", 2), (0,))
+    q = parse_bivariate("y^2 + x^3", 2)
     with pytest.raises(AmbiguousBranch) as info:
-        expand_branch(spec, 4)
+        BranchSpec(q, (0,))
     assert info.value.index == 1
     # same at index 2 once a_1 is pinned
-    spec2 = BranchSpec(parse_bivariate("y^2 + x^3", 2), (0, 0))
     with pytest.raises(AmbiguousBranch) as info:
-        expand_branch(spec2, 4)
+        BranchSpec(q, (0, 0))
     assert info.value.index == 2
     # with three coefficients pinned the x^3 term stands alone and no
     # residue works: y^2 is stuck on even powers
-    spec3 = BranchSpec(parse_bivariate("y^2 + x^3", 2), (0, 0, 0))
     with pytest.raises(NoBranch) as info:
-        expand_branch(spec3, 5)
+        BranchSpec(q, (0, 0, 0))
     assert info.value.index == 3
 
 
@@ -341,21 +356,21 @@ def test_shift_expands_a_root_with_singular_slope():
     assert roots[0] != roots[1]
     assert expand_branch(BranchSpec(q, (0, 0)), 12).coeffs == roots[0].coeffs[:12]
     assert expand_branch(BranchSpec(q, (0, 2)), 1).coeffs == (0,)
-    # without a seed the one root 0 of Q(0, y) = y^2 still gives a_0
-    assert expand_branch(BranchSpec(q), 1).coeffs == (0,)
-    # the seed 0 stops at index v = 1, and both branches extend it
-    with pytest.raises(AmbiguousBranch) as info:
-        expand_branch(BranchSpec(q, (0,)), 4)
-    assert info.value.index == 1
+    # the seed 0 stops at index v = 1, and both branches extend it; so
+    # does the empty seed, though the one root 0 of Q(0, y) = y^2 gives a_0
+    for seed in ((0,), ()):
+        with pytest.raises(AmbiguousBranch) as info:
+            BranchSpec(q, seed)
+        assert info.value.index == 1
     # a_1 = 1 fails Q at x^2, which no later coefficient can repair
     with pytest.raises(NoBranch) as info:
-        expand_branch(BranchSpec(q, (0, 1)), 4)
+        BranchSpec(q, (0, 1))
     assert info.value.index == 2
     # a seed that runs past the valuation is checked against the root:
     # 0,0,1 passes Q up to x^2, but the root through 0,0 has a_2 = 2
     assert roots[0].coeffs[2] == 2
     with pytest.raises(NoBranch) as info:
-        expand_branch(BranchSpec(q, (0, 0, 1)), 8)
+        BranchSpec(q, (0, 0, 1))
     assert info.value.index == 2
 
 
@@ -394,7 +409,9 @@ def test_shift_against_the_baseline_on_singular_specs():
     # the seed at least.  The shift must keep every NoBranch, and turn a
     # series only into the same series and an AmbiguousBranch only into
     # the same error or a root extending the seed, or else into a
-    # NoBranch that a candidate search confirms.
+    # NoBranch that a candidate search confirms.  The BranchSpec
+    # constructor refuses a seed that stops before the root is
+    # determined, whatever n; one more baseline coefficient shows that.
     rng = random.Random(6)
     outcomes = {}
     for case in range(6000):
@@ -426,6 +443,10 @@ def test_shift_against_the_baseline_on_singular_specs():
         if isinstance(old, NoBranch):
             assert isinstance(new, NoBranch), where
         elif isinstance(new, AmbiguousBranch):
+            if isinstance(old, TruncatedSeries):
+                with pytest.raises(AmbiguousBranch) as info:
+                    expand_baseline(q, seed, len(seed) + 1)
+                old = info.value
             assert isinstance(old, AmbiguousBranch) and new.index == old.index, where
         elif isinstance(new, TruncatedSeries):
             if isinstance(old, TruncatedSeries):
@@ -440,7 +461,8 @@ def test_shift_against_the_baseline_on_singular_specs():
             slope = naive_compose(dq, p, seed, len(seed))
             v = next((k for k, c in enumerate(slope) if c), 0)
             assert root_prefixes(q, seed, new.index + v + 1) == [], where
-    assert outcomes[("TruncatedSeries", "TruncatedSeries")] > 500
+    assert outcomes[("TruncatedSeries", "TruncatedSeries")] > 300
+    assert outcomes[("TruncatedSeries", "AmbiguousBranch")] > 100
     assert outcomes[("AmbiguousBranch", "TruncatedSeries")] > 500
     assert outcomes[("AmbiguousBranch", "NoBranch")] > 10
     assert outcomes[("NoBranch", "NoBranch")] > 500
@@ -482,3 +504,5 @@ def test_verify_annihilation():
     wrong = TruncatedSeries(2, (1,) + f.coeffs[1:])
     assert not verify_annihilation(spec.q, wrong)
     assert verify_annihilation(spec.q, TruncatedSeries(2))  # vacuous
+    with pytest.raises(ModulusMismatch, match="mixed moduli 2 and 3"):
+        verify_annihilation(spec.q, TruncatedSeries(3, f.coeffs))

@@ -506,6 +506,15 @@ def test_usage_errors_from_argparse(capsys):
     assert run(capsys, "frobnicate")[0] == 2  # unknown subcommand
     assert run(capsys)[0] == 2  # no subcommand
     assert run(capsys, "expand", "--p", "two", "--poly", "y", "--terms", "4")[0] == 2
+    # argparse quotes whole values: a long one is cut out of the middle of
+    # the one line, which keeps the choices; a short line keeps every byte
+    for argv, word in ((["x" * 5000], "selftest"), (["selftest", "x" * 5000], "xxx"),
+                       (["frobnicate"], "'frobnicate'"), (["selftest", "extra"], "extra")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.encode()) <= 200 and word in err, err[:200]
+        assert ("..." in err) == (len(argv[-1]) == 5000)
 
 
 def test_help_exits_zero(capsys):
@@ -695,13 +704,28 @@ def test_integer_options_are_plain_decimal_naturals(capsys, tmp_path, option, va
     assert option in err
 
 
+# What an error names where the value is too long to show
+TOO_LONG_TO_SHOW = {
+    "--p": "outside the supported range [2, 65536]",
+    "--degree": "outside [0, 3)",
+    "--dx": "too small for bounds",
+    "--dy": "too small for bounds",
+}
+
+
 @pytest.mark.parametrize("option, value", [
     ("--p", "4"), ("--n-eq", "7"), ("--max-states", "0"), ("--dy", "0"), ("--degree", "3"),
+    *(pytest.param(option, "1" * 5000, id=f"{option}-5000-digits") for option in TOO_LONG_TO_SHOW),
+    pytest.param("--p", "7" * 700, id="--p-700-digits"),
 ])
-def test_integer_options_out_of_range_are_computation_errors(capsys, tmp_path, option, value):
+def test_integer_options_out_of_range_are_computation_errors(capsys, tmp_path, low_int_limit, option, value):
+    # under the lowest int(str) limit: a value past it shows as its size
     code, out, err = run(capsys, *integer_argv(tmp_path, option, value))
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1
+    assert len(err.encode()) <= 200, err[:200]
+    if len(value) > 600:
+        assert TOO_LONG_TO_SHOW[option] in err and "<int of " in err, err
 
 
 def test_expand_refuses_a_seed_past_the_term_count(capsys, tmp_path):
@@ -713,3 +737,13 @@ def test_expand_refuses_a_seed_past_the_term_count(capsys, tmp_path):
         assert run(capsys, "expand", *TM_ARGS[:4], *seed, "--terms", terms) == failure
     assert run(capsys, "automaton", *TM_ARGS[:4], *seed, "--out", str(tmp_path / "m.json")) == failure
     assert run(capsys, "expand", *TM_ARGS[:4], "--seed", "0,1,1,0", "--terms", "2") == (0, "0,1\n", "")
+    # a seed that stops before the root is determined, and a Q with no
+    # root at the origin, are refused at every --terms too, 0 included
+    for spec, message in (
+        (["--p", "5", "--poly", "y^2+4*x^2+4*x^3", "--seed", "0"], "coefficient 1 is not determined by the seed"),
+        (["--p", "3", "--poly", "y^2+1"], "no coefficient 0 extends the partial solution"),
+    ):
+        failure = (1, "", f"error: {message}\n")
+        for terms in ("0", "1", "2"):
+            assert run(capsys, "expand", *spec, "--terms", terms) == failure
+        assert run(capsys, "automaton", *spec, "--out", str(tmp_path / "m.json")) == failure

@@ -40,21 +40,31 @@ from support import (
 SEPARABLE_FAMILIES = ((2, 2, 2, 10), (3, 2, 2, 10), (5, 2, 1, 6), (7, 2, 1, 6), (5, 1, 2, 4))
 
 
-def run_automaton(capsys, tmp_path, spec):
-    """(exit code, stdout, stderr, dfao-v1 text or None) of the CLI on spec."""
+def spec_argv(q, seed):
+    return ["--p", str(q.p), "--poly", q.to_text(), "--seed", ",".join(map(str, seed))]
+
+
+def run_automaton(capsys, tmp_path, q, seed=(), *options):
+    """(exit code, stdout, stderr, dfao-v1 text or None) of the CLI on
+    the branch of q that seed picks."""
     out_path = tmp_path / "m.json"
     if out_path.exists():
         out_path.unlink()
-    argv = ["automaton", "--p", str(spec.p), "--poly", spec.q.to_text(),
-            "--seed", ",".join(map(str, spec.seed)), "--out", str(out_path)]
-    code = cli_main(argv)
+    code = cli_main(["automaton", *spec_argv(q, seed), "--out", str(out_path), *options])
     captured = capsys.readouterr()
     text = out_path.read_text() if out_path.exists() else None
     return code, captured.out, captured.err, text
 
 
+def run_expand(capsys, q, seed, terms):
+    """(exit code, stdout, stderr) of christol expand."""
+    code = cli_main(["expand", *spec_argv(q, seed), "--terms", str(terms)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def assert_writes_the_oracle(capsys, tmp_path, spec):
-    code, out, err, text = run_automaton(capsys, tmp_path, spec)
+    code, out, err, text = run_automaton(capsys, tmp_path, spec.q, spec.seed)
     assert (code, err) == (0, ""), (spec, err)
     oracle = minimize(build_dfao(spec))
     assert text == dfao_to_json(oracle) + "\n", spec
@@ -81,27 +91,27 @@ def test_cli_writes_the_orbit_oracle_on_close_roots(capsys, tmp_path):
             assert_writes_the_oracle(capsys, tmp_path, BranchSpec(parse_bivariate(text, p), seed))
 
 
-def expansion_error(spec):
-    """The error expand_branch raises on spec at the default n_eq, or None."""
+def spec_error(q, seed):
+    """The error the BranchSpec constructor raises on q and seed, or None."""
     try:
-        expand_branch(spec, 64)
+        BranchSpec(q, seed)
     except ChristolError as exc:
         return exc
     return None
 
 
-def assert_same_outcome_as_expansion(capsys, tmp_path, spec):
-    """A seed expand_branch refuses is refused with the same error class,
-    index and message; any other is built and equals the orbit oracle.
-    Returns the error, or None."""
-    want = expansion_error(spec)
+def assert_same_outcome_as_expansion(capsys, tmp_path, q, seed):
+    """A seed the BranchSpec constructor refuses is refused by automaton,
+    and by expand at every term count, with the same message; any other
+    is built and equals the orbit oracle.  Returns the error, or None."""
+    want = spec_error(q, seed)
     if want is None:
-        assert_writes_the_oracle(capsys, tmp_path, spec)
+        assert_writes_the_oracle(capsys, tmp_path, BranchSpec(q, seed))
         return None
-    with pytest.raises(type(want)) as got:
-        exact_representation(spec)
-    assert got.value.index == want.index, spec
-    assert run_automaton(capsys, tmp_path, spec) == (1, "", f"error: {want}\n", None)
+    failure = (1, "", f"error: {want}\n")
+    assert run_automaton(capsys, tmp_path, q, seed) == (*failure, None), (q, seed)
+    for terms in (0, 1, len(seed), len(seed) + 1):
+        assert run_expand(capsys, q, seed, terms) == failure, (q, seed, terms)
     return want
 
 
@@ -116,7 +126,7 @@ def test_singular_seeds_give_the_expansion_outcome(capsys, tmp_path):
             seeds = {prefix for depth in (1, 2, 3, 4) for prefix in root_prefixes(q, (a0,), depth)}
             seeds |= {s[:-1] + ((s[-1] + 1) % p,) for s in seeds if len(s) > 1}
             for seed in sorted(seeds):
-                error = assert_same_outcome_as_expansion(capsys, tmp_path, BranchSpec(q, seed))
+                error = assert_same_outcome_as_expansion(capsys, tmp_path, q, seed)
                 kind = type(error).__name__ if error else "built"
                 outcomes[kind] = outcomes.get(kind, 0) + 1
     # the families reach every outcome
@@ -129,21 +139,20 @@ def test_wrong_and_short_seeds_give_the_expansion_error(capsys, tmp_path):
         f = expand_branch(spec, 8).coeffs
         for k in (1, 2, 5):
             seed = f[:k] + ((f[k] + rng.randrange(1, spec.p)) % spec.p,)
-            error = assert_same_outcome_as_expansion(capsys, tmp_path, BranchSpec(spec.q, seed))
+            error = assert_same_outcome_as_expansion(capsys, tmp_path, spec.q, seed)
             assert isinstance(error, NoBranch) and error.index == k
         # a seed that agrees with the root changes nothing
-        assert run_automaton(capsys, tmp_path, BranchSpec(spec.q, f)) == run_automaton(capsys, tmp_path, spec)
+        assert run_automaton(capsys, tmp_path, spec.q, f) == run_automaton(capsys, tmp_path, spec.q, spec.seed)
     # no seed: zero or several roots of Q(0, y)
     for text, p, kind in (("(1+x)^3*y^2 + (1+x)^2*y + x", 2, AmbiguousBranch), ("y^2 + x*y + 1", 3, NoBranch)):
-        error = assert_same_outcome_as_expansion(capsys, tmp_path, BranchSpec(parse_bivariate(text, p)))
+        error = assert_same_outcome_as_expansion(capsys, tmp_path, parse_bivariate(text, p), ())
         assert isinstance(error, kind) and error.index == 0
 
 
 def test_long_seeds_are_checked_at_every_digit_level(capsys, tmp_path):
-    # seeds of 100 to 300 coefficients reach indices of up to 9 base-2
-    # digits, so the seed check reads columns of every length up to there;
-    # on the close roots the changed entry lies past the prefix that picks
-    # the root, where the root is unique
+    # seeds of 100 to 300 coefficients, each compared with the root to its
+    # full length; on the close roots the changed entry lies past the
+    # prefix that picks the root, where the root is unique
     rng = random.Random(20261027)
     specs = [random_separable_spec(rng, p, dx, dy) for p, dx, dy, _count in SEPARABLE_FAMILIES[:4]]
     for p in (2, 3, 5, 7):
@@ -151,22 +160,17 @@ def test_long_seeds_are_checked_at_every_digit_level(capsys, tmp_path):
         specs.append(BranchSpec(parse_bivariate(text, p), seed))
     for spec in specs:
         f = expand_branch(spec, rng.randint(100, 300)).coeffs
-        assert run_automaton(capsys, tmp_path, BranchSpec(spec.q, f)) == run_automaton(capsys, tmp_path, spec)
+        assert run_automaton(capsys, tmp_path, spec.q, f) == run_automaton(capsys, tmp_path, spec.q, spec.seed)
         for _ in range(3):
             k = rng.randrange(max(1, len(spec.seed)), len(f))
             seed = f[:k] + ((f[k] + rng.randrange(1, spec.p)) % spec.p,) + f[k + 1 :]
-            bad = BranchSpec(spec.q, seed)
             with pytest.raises(ChristolError) as want:
-                expand_branch(bad, len(seed) + 1)
-            with pytest.raises(type(want.value)) as got:
-                exact_representation(bad)
-            assert (got.value.index, str(got.value)) == (want.value.index, str(want.value)), (spec, k)
-            # expand_branch() checks the whole seed, whatever its term count
+                BranchSpec(spec.q, seed)
+            # automaton and expand refuse it alike, whatever --terms
+            failure = (1, "", f"error: {want.value}\n")
+            assert run_automaton(capsys, tmp_path, spec.q, seed) == (*failure, None), (spec, k)
             for n in (0, 1, k, k + 1):
-                with pytest.raises(type(want.value)) as got:
-                    expand_branch(bad, n)
-                assert str(got.value) == str(want.value), (spec, k, n)
-            assert run_automaton(capsys, tmp_path, bad) == (1, "", f"error: {want.value}\n", None)
+                assert run_expand(capsys, spec.q, seed, n) == failure, (spec, k, n)
             # where Newton applies from a0, the changed entry itself is refused
             if spec.q.dy_at_origin(spec.seed[0]):
                 assert type(want.value) is NoBranch and want.value.index == k, (spec, k)
@@ -181,7 +185,7 @@ def test_automaton_needs_no_expansion_closure_or_recheck(capsys, tmp_path, monke
         BranchSpec(parse_bivariate(text, 3), seed),
         BranchSpec(parse_bivariate("y + x^64", 2)),
     ]
-    before = [run_automaton(capsys, tmp_path, spec) for spec in specs]
+    before = [run_automaton(capsys, tmp_path, spec.q, spec.seed) for spec in specs]
 
     def oracle_only(*_args, **_kwargs):
         raise AssertionError("a test oracle ran in christol automaton")
@@ -193,7 +197,7 @@ def test_automaton_needs_no_expansion_closure_or_recheck(capsys, tmp_path, monke
                          (automaton, "minimize"), (cli, "minimize")):
         monkeypatch.setattr(module, name, oracle_only)
     monkeypatch.setattr(kernel.PathExpander, "series", oracle_only)
-    after = [run_automaton(capsys, tmp_path, spec) for spec in specs]
+    after = [run_automaton(capsys, tmp_path, spec.q, spec.seed) for spec in specs]
     assert after == before
     assert all(code == 0 for code, *_ in after)
 
@@ -202,7 +206,7 @@ def test_large_p_fails_fast(capsys, tmp_path):
     # Q^(p-1) of (1+x)*y + 65520 would have 65521^2 coefficients
     spec = BranchSpec(parse_bivariate("(1+x)*y + 65520", 65521))
     started = time.perf_counter()
-    code, out, err, text = run_automaton(capsys, tmp_path, spec)
+    code, out, err, text = run_automaton(capsys, tmp_path, spec.q, spec.seed)
     assert time.perf_counter() - started < 0.5
     assert (code, out, text) == (1, "", None)
     assert err == f"error: Q^(p-1) has {65521 ** 2} coefficients, more than {kernel.MAX_POWER_CELLS}\n"
@@ -212,7 +216,7 @@ def test_p_101_matches_the_orbit_oracle(capsys, tmp_path):
     # f = 6 + x: the sections are f, 6, 1 and 0
     spec = BranchSpec(parse_bivariate("y + 100*x + 95", 101))
     assert_writes_the_oracle(capsys, tmp_path, spec)
-    _code, out, _err, _text = run_automaton(capsys, tmp_path, spec)
+    _code, out, _err, _text = run_automaton(capsys, tmp_path, spec.q, spec.seed)
     assert out == "4\n"
 
 
@@ -272,10 +276,17 @@ def test_state_cap_counts_the_minimal_dimension():
         dfao_from_linear(exact_representation(spec, 2), 1)
 
 
-def test_seed_is_checked_before_the_state_cap():
-    # the seed errors come first, as they do in the expansion
-    spec = BranchSpec(thue_morse_spec().q, (0, 1, 1, 1))
+def test_seed_is_checked_before_the_state_cap(capsys, tmp_path):
+    # the BranchSpec constructor checks the seed, so its errors come
+    # before the state cap and the Q^(p-1) cell cap
+    q = thue_morse_spec().q
     with pytest.raises(NoBranch) as got:
-        exact_representation(spec, 1)
+        BranchSpec(q, (0, 1, 1, 1))
     assert got.value.index == 3
+    failure = (1, "", "error: no coefficient 3 extends the partial solution\n", None)
+    assert run_automaton(capsys, tmp_path, q, (0, 1, 1, 1), "--max-states", "1") == failure
+    # the root of (1+x)*y + 256 over F_257 is 1 - x + ..., so a_1 = 256
+    q = parse_bivariate("(1+x)*y + 256", 257)
+    failure = (1, "", "error: no coefficient 1 extends the partial solution\n", None)
+    assert run_automaton(capsys, tmp_path, q, (1, 0)) == failure
 

@@ -81,6 +81,12 @@ def test_equality_is_exact_including_precision():
     assert hash(S(5, [1, 2])) == hash(S(5, [1, 2]))
 
 
+def test_repr_shows_at_most_16_coefficients():
+    assert repr(S(3, [1, 2])) == "TruncatedSeries(p=3, N=2, [1,2])"
+    assert repr(S(2, [1] * 16)) == f"TruncatedSeries(p=2, N=16, [{','.join('1' * 16)}])"
+    assert repr(S(2, [1] * 17)) == f"TruncatedSeries(p=2, N=17, [{','.join('1' * 16)},...])"
+
+
 def test_truncate_and_pad():
     f = S(3, [1, 2, 0, 1])
     assert f.truncate(2).coeffs == (1, 2)
@@ -93,6 +99,8 @@ def test_modulus_mismatch_in_ops():
         S(2, [1]) + S(3, [1])
     with pytest.raises(ModulusMismatch):
         S(2, [1]) * S(3, [1])
+    with pytest.raises(TypeError, match="expected TruncatedSeries, got tuple"):
+        S(2, [1]) + (1,)
 
 
 def test_parse_series_literal():
