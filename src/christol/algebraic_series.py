@@ -117,10 +117,7 @@ class BivariatePolynomial:
 
     def dy_at_origin(self, a0: int) -> int:
         """(dQ/dy)(0, a0) as a residue; nonzero means Newton applies."""
-        total = 0
-        for j in range(1, self.dy + 1):
-            total += j * self.coeffs[0][j] * pow(a0, j - 1, self.p)
-        return total % self.p
+        return self._horner(TruncatedSeries._of(self.p, (a0,)), 1).coeffs[0]
 
     def to_text(self) -> str:
         """Render in the input grammar; parse_bivariate() round-trips it.
@@ -332,14 +329,6 @@ class BranchSpec:
 # -- expansion --------------------------------------------------------
 
 
-def _value_at_origin(q: BivariatePolynomial, c: int) -> int:
-    """Q(0, c) as a residue, by Horner in y."""
-    acc = 0
-    for j in range(q.dy, -1, -1):
-        acc = (acc * c + q.coeffs[0][j]) % q.p
-    return acc
-
-
 def _trim(a: list) -> list:
     """a without its trailing zeros, trimmed in place."""
     while a and not a[-1]:
@@ -396,7 +385,7 @@ def _root_product_at_origin(q: BivariatePolynomial):
 
 def _start_coefficient(q: BivariatePolynomial, seed) -> int:
     if seed:
-        if _value_at_origin(q, seed[0]):
+        if q.evaluate(TruncatedSeries._of(q.p, (seed[0],))).coeffs[0]:
             raise NoBranch(0)
         return seed[0]
     h = _root_product_at_origin(q)

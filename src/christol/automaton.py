@@ -39,11 +39,10 @@ any length without touching the interpreter's int(str) limit.
 """
 
 import json
-import reprlib
 from dataclasses import dataclass
 
 from .errors import SchemaError, StateCapExceeded
-from .finite_field import ensure_prime, parse_natural
+from .finite_field import brief, ensure_prime, parse_natural
 from .kernel import (
     DEFAULT_MAX_STATES,
     ClosureConfig,
@@ -63,7 +62,7 @@ class Dfao:
     significant first.  Instances are immutable.  ValueError unless p is
     prime, every state has p targets, and start, targets and outputs are
     in range and of type int (not True, not 2.0); messages name the
-    state and show the value through reprlib."""
+    state and show the value through brief()."""
 
     p: int
     start: int
@@ -76,16 +75,16 @@ class Dfao:
         if n == 0 or len(self.tau) != n:
             raise ValueError("delta and tau must cover the same nonempty state set")
         if type(self.start) is not int or not 0 <= self.start < n:
-            raise ValueError(f"start state {reprlib.repr(self.start)} is not an int in [0, {n})")
+            raise ValueError(f"start state {brief(self.start)} is not an int in [0, {n})")
         for s, row in enumerate(self.delta):
             if len(row) != p:
                 raise ValueError(f"state {s} has {len(row)} transitions, expected {p}")
             for t in row:
                 if type(t) is not int or not 0 <= t < n:
-                    raise ValueError(f"state {s} target {reprlib.repr(t)} is not an int in [0, {n})")
+                    raise ValueError(f"state {s} target {brief(t)} is not an int in [0, {n})")
             out = self.tau[s]
             if type(out) is not int or not 0 <= out < p:
-                raise ValueError(f"state {s} output {reprlib.repr(out)} is not an int in [0, {p})")
+                raise ValueError(f"state {s} output {brief(out)} is not an int in [0, {p})")
 
     @property
     def n_states(self) -> int:
@@ -333,9 +332,9 @@ def dfao_from_json(text: str) -> Dfao:
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
     if doc.get("format") != FORMAT_TAG:
-        raise SchemaError(f"unknown format tag {reprlib.repr(doc.get('format'))}")
+        raise SchemaError(f"unknown format tag {brief(doc.get('format'))}")
     if doc.get("digit_order") != "lsd":
-        raise SchemaError(f"unsupported digit order {reprlib.repr(doc.get('digit_order'))}")
+        raise SchemaError(f"unsupported digit order {brief(doc.get('digit_order'))}")
     states = doc.get("states")
     if not isinstance(states, list):
         raise SchemaError("states must be a list")

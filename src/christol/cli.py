@@ -43,7 +43,9 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # one line of at most 200 bytes, as the handlers report bad usage;
-        # argparse quotes whole values, so a long line loses its middle
+        # argparse quotes whole values, so a long line loses its middle,
+        # and joins raw argv words, so line breaks show escaped
+        message = message.replace("\n", "\\n").replace("\r", "\\r")
         line = f"usage error: {message}".encode()
         if len(line) >= 200:
             line = line[:100] + b"..." + line[-96:]

@@ -1,7 +1,7 @@
 """Validation of the prime modulus p <= 2**16, parse_natural(), the
 one reader of the decimal naturals that come from outside (query
 indices, series and seed entries, polynomial literals), and brief(),
-which shows an int of any size in a message.
+which shows a value in a message, cut short, with ints of any size.
 
 Elements of F_p are plain int residues in [0, p) throughout the package.
 """
@@ -17,11 +17,11 @@ _PARSE_LEAF = 600
 
 
 def ensure_prime(p: int) -> int:
-    """Validate that p is a prime in [2, 2**16] and return it.  The range
-    message shows p through brief(), so a huge value prints cut short.
+    """Validate that p is a prime in [2, 2**16] and return it.  The
+    messages show p through brief(), so a huge value prints cut short.
     The type is checked before the cache, which cannot hash a list."""
     if not isinstance(p, int) or isinstance(p, bool):
-        raise ValueError(f"modulus must be an int, got {reprlib.repr(p)}")
+        raise ValueError(f"modulus must be an int, got {brief(p)}")
     return _checked_prime(p)
 
 
@@ -39,13 +39,18 @@ def _checked_prime(p: int) -> int:
     return p
 
 
-def brief(n: int) -> str:
-    """n for a message, cut short by reprlib.  An int of more than
-    _PARSE_LEAF digits shows as its bit length instead, since the
-    interpreter may refuse to write it in decimal."""
-    if abs(n) < 10**_PARSE_LEAF:
-        return reprlib.repr(n)
-    return f"<int of {n.bit_length()} bits>"
+class _Brief(reprlib.Repr):
+    """reprlib's cut-short repr, except that an int of more than
+    _PARSE_LEAF digits, wherever it sits in the value, shows as its bit
+    length, since the interpreter may refuse to write it in decimal."""
+
+    def repr_int(self, x, level):
+        if abs(x) < 10**_PARSE_LEAF:
+            return super().repr_int(x, level)
+        return f"<int of {x.bit_length()} bits>"
+
+
+brief = _Brief().repr
 
 
 def parse_natural(text: str) -> int:
@@ -55,7 +60,7 @@ def parse_natural(text: str) -> int:
     read in halves, hi * 10**k + lo, so the interpreter's int(str) limit
     is never hit."""
     if not isinstance(text, str) or not (text.isascii() and text.isdigit()):
-        raise MalformedNumber(f"expected a decimal natural number, got {reprlib.repr(text)}")
+        raise MalformedNumber(f"expected a decimal natural number, got {brief(text)}")
     if len(text) <= _PARSE_LEAF:
         return int(text)
     k = len(text) // 2

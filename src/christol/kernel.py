@@ -25,6 +25,8 @@ precision n_eq, not a proof; recheck() re-derives every stored
 relation at twice that precision to catch truncation accidents.
 Basis elements remember the digit path that produced them, so any of
 them can be recomputed from the defining polynomial at any precision.
+Only the oracle's result, an OrbitClosure, carries them and n_eq; the
+exact route returns the bare machine, a KernelRepresentation.
 
 Both constructions close a span with the same breadth-first search,
 _span_closure(), which fixes the order of the basis.  They share nothing
@@ -101,36 +103,40 @@ class BasisElement(NamedTuple):
 
 @dataclass(frozen=True)
 class KernelRepresentation:
-    """A linear machine of dimension m: per-digit update matrices, the
-    start vector alpha0 and the output vector b0.  Row vectors update as
-    alpha <- alpha * M[d], and alpha . b0 is the output.
-
-    From orbit_closure(), basis holds the BasisElement z_1..z_m of the
-    section closure, matrices[d][i][j] is the j-th coordinate of
-    section(z_i, d) over that basis, b0 holds the constant terms of the
-    basis, and alpha0 is e_1, the series itself being the first basis
-    element, unless the series is zero at n_eq: then the basis is empty,
-    m = 0, alpha0 = () and every output is 0.  Everything was verified
-    at truncation precision n_eq.
-
-    From exact_representation(), n_eq is None, basis holds digit
-    strings, and coordinate i of a state is its output after reading
-    basis[i]; see there.
+    """A linear machine of dimension m = len(b0) over F_p: one m x m
+    update matrix per digit, the start vector alpha0 and the output
+    vector b0.  Row vectors update as alpha <- alpha * M[d], digits least
+    significant first, and alpha . b0 is the output.  m = 0 is the zero
+    series: alpha0 = b0 = () and every output is 0.
     """
 
     p: int
-    basis: tuple
     matrices: tuple
     b0: tuple
     alpha0: tuple
-    n_eq: int | None
 
     @property
     def m(self) -> int:
-        return len(self.basis)
+        return len(self.b0)
 
 
-def orbit_closure(spec: BranchSpec, cfg: ClosureConfig | None = None) -> KernelRepresentation:
+@dataclass(frozen=True)
+class OrbitClosure(KernelRepresentation):
+    """The machine orbit_closure() finds, with what recheck() replays.
+
+    basis holds the BasisElement z_1..z_m of the section closure,
+    matrices[d][i][j] is the j-th coordinate of section(z_i, d) over that
+    basis, b0 holds the constant terms of the basis, and alpha0 is e_1,
+    the series itself being the first basis element, unless the series
+    is zero at n_eq: then the basis is empty and m = 0.  Everything was
+    verified at truncation precision n_eq.
+    """
+
+    basis: tuple
+    n_eq: int
+
+
+def orbit_closure(spec: BranchSpec, cfg: ClosureConfig | None = None) -> OrbitClosure:
     """Breadth-first section closure of the series defined by spec.
 
     _span_closure() runs over the coefficients of the truncated series,
@@ -147,17 +153,14 @@ def orbit_closure(spec: BranchSpec, cfg: ClosureConfig | None = None) -> KernelR
         return (expander.series(path + (d,), n_eq).truncate(n_eq).coeffs for d in range(p))
 
     first = expander.series((), n_eq).truncate(n_eq).coeffs
-    members, paths, rows = _span_closure(p, first, images, cfg.max_states)
+    members, paths, matrices = _span_closure(p, first, images, cfg.max_states)
     m = len(members)
-    matrices = tuple(
-        tuple(tuple(row) + (0,) * (m - len(row)) for row in rows[d]) for d in range(p)
-    )
-    return KernelRepresentation(
+    return OrbitClosure(
         p=p,
-        basis=tuple(BasisElement(path, TruncatedSeries._of(p, c)) for path, c in zip(paths, members)),
         matrices=matrices,
         b0=tuple(c[0] for c in members),
         alpha0=(1,) + (0,) * (m - 1) if m else (),
+        basis=tuple(BasisElement(path, TruncatedSeries._of(p, c)) for path, c in zip(paths, members)),
         n_eq=n_eq,
     )
 
@@ -186,7 +189,7 @@ def alpha_output(rep: KernelRepresentation, alpha) -> int:
     return sum(a * b for a, b in zip(alpha, rep.b0)) % rep.p
 
 
-def recheck(rep: KernelRepresentation, spec: BranchSpec) -> bool:
+def recheck(rep: OrbitClosure, spec: BranchSpec) -> bool:
     """Re-verify every stored relation at 2 * n_eq coefficients.
 
     Expands the root once, far enough for the deepest basis path, takes
@@ -194,11 +197,11 @@ def recheck(rep: KernelRepresentation, spec: BranchSpec) -> bool:
     prefixes, the output vector, the matrix relations and alpha0 against
     them.  False means the closure was a truncation artifact (or the
     representation was tampered with); True upgrades the certificate to
-    the larger precision.  ValueError for a representation without n_eq,
-    such as one from exact_representation(): it has no truncation to
-    recheck, and no basis series to replay.
+    the larger precision.  ValueError for anything but an OrbitClosure,
+    such as the machine from exact_representation(): it has no
+    truncation to recheck, and no basis series to replay.
     """
-    if rep.n_eq is None:
+    if not isinstance(rep, OrbitClosure):
         raise ValueError("recheck needs a representation from orbit_closure(), which has n_eq")
     big = 2 * rep.n_eq
     depth = max((len(el.path) for el in rep.basis), default=0)
@@ -249,7 +252,7 @@ def _packed_power(q: BivariatePolynomial, e: int, width: int) -> tuple:
 
 
 def _apply(rows, col, p: int) -> tuple:
-    """rows * col, for rows of coordinates that may stop short of col."""
+    """rows * col."""
     return tuple(sum(map(mul, row, col)) % p for row in rows)
 
 
@@ -259,10 +262,11 @@ def _span_closure(p: int, first, images, max_states: int | None = None):
     member v, which the maps in path take first to.  Vectors are
     residues in [0, p).
 
-    Returns (members, paths, rows): the members kept, the maps that
-    take first to each (in the order applied), and rows[r][i], the
-    coordinates of the image of member i under map r over the members.
-    A zero first gives no members."""
+    Returns (members, paths, matrices): the m members kept, the maps
+    that take first to each (in the order applied), and one m x m matrix
+    per map, whose row matrices[r][i] holds the coordinates of the image
+    of member i under map r over the members.  A zero first gives no
+    members."""
     tracker = SpanTracker(p, len(first))
     members, paths = [], []
     rows = [[] for _ in range(p)]
@@ -283,7 +287,8 @@ def _span_closure(p: int, first, images, max_states: int | None = None):
         for r, image in enumerate(images(members[i], paths[i])):
             rows[r].append(adopt(image, paths[i] + (r,)))
         i += 1
-    return members, paths, rows
+    m = len(members)
+    return members, paths, tuple(tuple(row + (0,) * (m - len(row)) for row in rows[r]) for r in range(p))
 
 
 def exact_representation(spec: BranchSpec, max_states: int = DEFAULT_MAX_STATES) -> KernelRepresentation:
@@ -310,9 +315,10 @@ def exact_representation(spec: BranchSpec, max_states: int = DEFAULT_MAX_STATES)
     reachable from A0 under the T_r, then the quotient of that space by
     the states no digit string tells apart, from the columns M_w * b0,
     output functional first.  Coordinate i of a state of the result is
-    its output after reading the digit string basis[i], so m is the
-    dimension of the section closure, the state alpha0 holds the
-    coefficients of f at the indices of those strings, and b0 = e_1.
+    its output after reading w_i, the digit string of the i-th column
+    that search kept (shortest first, the empty string first), so m is
+    the dimension of the section closure, alpha0 holds the coefficients
+    of f at the indices the w_i spell, and b0 = e_1.
 
     The BranchSpec constructor has checked every seed entry already.
     StateCapExceeded past max_states basis elements; ChristolError where
@@ -362,18 +368,13 @@ def exact_representation(spec: BranchSpec, max_states: int = DEFAULT_MAX_STATES)
 
     # the observable quotient: columns M_w * b0 for digit strings w, the
     # last digit applied first; cols[r][i] = coordinates of M_r u_i
-    columns, paths, cols = _span_closure(
+    columns, _, cols = _span_closure(
         p, b0, lambda col, _path: [_apply(rows[r], col, p) for r in range(p)], max_states
     )
     m = len(columns)
-    matrices = tuple(
-        tuple(tuple(c[j] if j < len(c) else 0 for c in cols[r]) for j in range(m)) for r in range(p)
-    )
     return KernelRepresentation(
         p=p,
-        basis=tuple(path[::-1] for path in paths),
-        matrices=matrices,
+        matrices=tuple(tuple(zip(*cols[r])) for r in range(p)),
         b0=(1,) + (0,) * (m - 1) if m else (),
         alpha0=tuple(col[0] for col in columns),
-        n_eq=None,
     )

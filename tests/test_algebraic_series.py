@@ -243,14 +243,16 @@ def test_roots_at_origin_match_a_residue_scan():
 
 
 def test_roots_at_origin_evaluate_no_residue(monkeypatch):
+    # Q(0, c) is Q evaluated at the one-coefficient series c
     evaluations = []
-    value_at_origin = algebraic_series._value_at_origin
+    evaluate = BivariatePolynomial.evaluate
 
-    def counting(q, c):
-        evaluations.append(c)
-        return value_at_origin(q, c)
+    def counting(q, f):
+        if f.precision == 1:
+            evaluations.append(f.coeffs[0])
+        return evaluate(q, f)
 
-    monkeypatch.setattr(algebraic_series, "_value_at_origin", counting)
+    monkeypatch.setattr(BivariatePolynomial, "evaluate", counting)
     q = parse_bivariate("(1+x)*y + 65520", 65521)
     f = expand_branch(BranchSpec(q), 64)
     assert f.coeffs[0] == 1
@@ -258,6 +260,9 @@ def test_roots_at_origin_evaluate_no_residue(monkeypatch):
     # the root comes from gcd(Q(0, y), y^p - y) and is not evaluated
     # again; a residue scan would make 65521 evaluations
     assert evaluations == []
+    # a seed is checked by one evaluation at its first entry
+    BranchSpec(q, seed=(1,))
+    assert evaluations == [1]
 
 
 def test_seed_disambiguation_errors():

@@ -107,20 +107,6 @@ def test_weed_bad_series_literal(capsys):
     assert err.startswith("error:")
 
 
-@pytest.fixture
-def low_int_limit():
-    """The lowest int(str) limit an interpreter accepts, where it has one."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
 def test_entries_of_5000_digits(capsys, low_int_limit):
     # 5000 ones is 2 mod 3: a series entry, a seed entry, a coefficient
     # and an exponent of that length are read like short ones
@@ -508,11 +494,14 @@ def test_usage_errors_from_argparse(capsys):
     assert run(capsys, "expand", "--p", "two", "--poly", "y", "--terms", "4")[0] == 2
     # argparse quotes whole values: a long one is cut out of the middle of
     # the one line, which keeps the choices; a short line keeps every byte
+    # but the line breaks in the raw words it joins, which show escaped
     for argv, word in ((["x" * 5000], "selftest"), (["selftest", "x" * 5000], "xxx"),
-                       (["frobnicate"], "'frobnicate'"), (["selftest", "extra"], "extra")):
+                       (["frobnicate"], "'frobnicate'"), (["selftest", "extra"], "extra"),
+                       (["selftest", "a\nb"], "a\\nb"), (["selftest", "a\rb"], "a\\rb")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("usage error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert "\r" not in err
         assert len(err.encode()) <= 200 and word in err, err[:200]
         assert ("..." in err) == (len(argv[-1]) == 5000)
 

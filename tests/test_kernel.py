@@ -51,6 +51,14 @@ def test_all_ones_closure():
     assert rep.b0 == (1,)
 
 
+def test_the_machine_record_holds_the_machine_alone():
+    # the oracle's basis series and n_eq live on its subclass only
+    names = [f.name for f in dataclasses.fields(KernelRepresentation)]
+    assert names == ["p", "matrices", "b0", "alpha0"]
+    extra = [f.name for f in dataclasses.fields(kernel.OrbitClosure)]
+    assert extra == names + ["basis", "n_eq"]
+
+
 def test_closure_is_deterministic():
     a = orbit_closure(thue_morse_spec())
     b = orbit_closure(thue_morse_spec())
@@ -250,7 +258,8 @@ def test_representation_shape_invariants():
     rng = random.Random(11)
     for _, spec in shipped_specs():
         rep = orbit_closure(spec)
-        assert isinstance(rep, KernelRepresentation)
+        assert type(rep) is kernel.OrbitClosure and isinstance(rep, KernelRepresentation)
+        assert type(rep.n_eq) is int
         assert len(rep.matrices) == rep.p
         for mat in rep.matrices:
             assert len(mat) == rep.m
