@@ -33,7 +33,7 @@ from .errors import (
     NoBranch,
     PolynomialSyntaxError,
 )
-from .finite_field import ensure_prime, parse_natural
+from .finite_field import brief, ensure_prime, parse_natural
 from .power_series import TruncatedSeries, cauchy_product
 
 DEFAULT_DEGREE_CAP = 64
@@ -502,7 +502,7 @@ def expand_branch(spec: BranchSpec, n: int) -> TruncatedSeries:
     head otherwise.
     """
     if n < 0:
-        raise ValueError(f"term count must be nonnegative, got {n}")
+        raise ValueError(f"term count must be nonnegative, got {brief(n)}")
     head = spec.head[:n]
     return TruncatedSeries._of(spec.p, head + _expand_newton(spec.qt, spec.a0, n - len(head)).coeffs)
 

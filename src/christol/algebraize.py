@@ -44,7 +44,7 @@ def automatic_to_series(machine, n: int) -> TruncatedSeries:
     O(log n) transitions per index through query().
     """
     if n < 0:
-        raise ValueError(f"term count must be nonnegative, got {n}")
+        raise ValueError(f"term count must be nonnegative, got {brief(n)}")
     p = machine.p
     if isinstance(machine, KernelRepresentation):
         start = machine.alpha0

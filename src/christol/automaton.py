@@ -113,7 +113,7 @@ def _walk(p: int, first, step, output, max_states: int, what: str) -> Dfao:
             sid = ids.get(child)
             if sid is None:
                 if len(states) >= max_states:
-                    raise StateCapExceeded(f"{what} exceed {max_states}")
+                    raise StateCapExceeded(f"{what} exceed {brief(max_states)}")
                 sid = ids[child] = len(states)
                 states.append(child)
             row.append(sid)

@@ -41,6 +41,7 @@ from typing import NamedTuple
 
 from .algebraic_series import BivariatePolynomial, BranchSpec, expand_branch
 from .errors import ChristolError, DimensionMismatch, StateCapExceeded
+from .finite_field import brief
 from .linalg import SpanTracker
 from .power_series import TruncatedSeries, cauchy_product
 from .weeding import section
@@ -66,9 +67,9 @@ class ClosureConfig:
 
     def __post_init__(self):
         if self.n_eq < 8:
-            raise ValueError(f"n_eq must be at least 8, got {self.n_eq}")
+            raise ValueError(f"n_eq must be at least 8, got {brief(self.n_eq)}")
         if self.max_states < 1:
-            raise ValueError(f"max_states must be positive, got {self.max_states}")
+            raise ValueError(f"max_states must be positive, got {brief(self.max_states)}")
 
 
 class PathExpander:
@@ -170,7 +171,7 @@ def alpha_step(rep: KernelRepresentation, alpha, digit: int) -> tuple:
     if len(alpha) != rep.m:
         raise DimensionMismatch(f"alpha has length {len(alpha)}, basis has {rep.m}")
     if not 0 <= digit < rep.p:
-        raise ValueError(f"digit {digit} outside [0, {rep.p})")
+        raise ValueError(f"digit {brief(digit)} outside [0, {rep.p})")
     mat = rep.matrices[digit]
     out = [0] * rep.m
     for i, a in enumerate(alpha):
@@ -275,7 +276,7 @@ def _span_closure(p: int, first, images, max_states: int | None = None):
         coords = tracker.append(vec)
         if coords is None:
             if max_states is not None and len(members) >= max_states:
-                raise StateCapExceeded(f"section closure exceeds {max_states} basis elements")
+                raise StateCapExceeded(f"section closure exceeds {brief(max_states)} basis elements")
             members.append(vec)
             paths.append(path)
             coords = (0,) * (len(members) - 1) + (1,)

@@ -3,10 +3,11 @@
 SpanTracker is the one elimination: is a vector a combination of those
 kept so far?  The section closure asks it of truncated sections; the
 column scan behind first_dependency and nullspace_basis asks it of
-matrix columns, such as guess_polynomial's columns x^i * f^j.  Its
-echelon rows stay in insertion order, each reduced only against the
-rows before it, so one pass in order reduces a vector and a vector
-outside the span joins it in that pass.
+matrix columns, such as guess_polynomial's columns x^i * f^j.  It is
+the augmented elimination [V | I] kept as one list of rows [e_k | c_k]
+in insertion order, each reduced only against the rows before it, so
+one pass in order reduces a vector, gives its coordinates, and lets a
+vector outside the span join.
 """
 
 
@@ -14,13 +15,13 @@ class SpanTracker:
     """Grows a list of 'member' vectors and answers membership queries
     against their span, with coordinates over the original members.
 
-    Echelon row k is member k reduced against rows 0..k-1 and scaled to
-    pivot entry 1, at its first nonzero column.  Every later row is
-    clear at that column, so a single pass over the rows in order clears
-    every pivot.  combos[k] writes row k over members 0..k, a triangular
-    change of basis.
+    Row k is [e_k | c_k]: e_k is member k reduced against rows 0..k-1
+    and scaled to pivot entry 1, at its first nonzero column, and c_k
+    writes e_k over members 0..k.  Every later row is clear at that
+    column, so a single pass over the rows in order reduces [vec | 0]
+    to [residual | -a], where a holds the coordinates of vec - residual.
 
-    append(vec) decides and adopts in one reduction: it returns vec's
+    append(vec) decides and adopts in that one pass: it returns vec's
     coordinates if vec lies in the span, and otherwise makes vec the next
     member and returns None.  coordinates(vec) is the same query without
     adopting.  Every vec holds residues in [0, p): it is copied, not
@@ -31,55 +32,45 @@ class SpanTracker:
         self.p = p
         self.width = width
         self.size = 0  # number of members added
-        self._rows = []  # echelon rows in insertion order, pivot entry 1
-        self._pivots = []  # pivot column per echelon row
-        self._combos = []  # echelon row k = sum_j combos[k][j] * member_j, j <= k
+        self._rows = []  # [e_k | c_k] in insertion order, pivot entry 1
+        self._pivots = []  # pivot column of e_k
 
     def _reduce(self, vec):
-        """vec = sum_k cs[k] * rows[k] + residual, with residual clear at
+        """[vec | 0] reduced against every row: [residual | -a] with
+        vec = residual + sum_j a[j] * member_j and residual clear at
         every pivot column."""
         if len(vec) != self.width:
             raise ValueError(f"expected width {self.width}, got {len(vec)}")
-        v = list(vec)
-        cs = []
+        v = list(vec) + [0] * self.size
         for row, piv in zip(self._rows, self._pivots):
             c = v[piv]
-            cs.append(c)
             if c:
-                for j in range(piv, self.width):
+                for j in range(piv, len(row)):
                     if row[j]:
                         v[j] = (v[j] - c * row[j]) % self.p
-        return cs, v
+        return v
 
-    def _combine(self, cs):
-        """sum_k cs[k] * combos[k]: the member coordinates of
-        sum_k cs[k] * rows[k]."""
-        out = [0] * self.size
-        for c, combo in zip(cs, self._combos):
-            if c:
-                for j, w in enumerate(combo):
-                    if w:
-                        out[j] = (out[j] + c * w) % self.p
-        return tuple(out)
+    def _coordinates(self, v):
+        """The member coordinates a of a reduced [residual | -a]."""
+        return tuple(-x % self.p for x in v[self.width :])
 
     def coordinates(self, vec):
         """Coordinates of vec over the members, or None if independent."""
-        cs, residual = self._reduce(vec)
-        return None if any(residual) else self._combine(cs)
+        v = self._reduce(vec)
+        return None if any(v[: self.width]) else self._coordinates(v)
 
     def append(self, vec):
         """Coordinates of vec over the members if it lies in their span;
         otherwise vec becomes the next member and the result is None."""
-        cs, residual = self._reduce(vec)
-        piv = next((j for j, x in enumerate(residual) if x), None)
+        v = self._reduce(vec)
+        piv = next((j for j in range(self.width) if v[j]), None)
         if piv is None:
-            return self._combine(cs)
-        # the new row is lead_inv * (vec - sum_k cs[k] * rows[k]), so its
-        # combo is lead_inv * (e_new - sum_k cs[k] * combos[k])
-        lead_inv = pow(residual[piv], self.p - 2, self.p)
-        self._rows.append([x * lead_inv % self.p for x in residual])
+            return self._coordinates(v)
+        # residual = vec - sum_j a[j] * member_j, so over the members it
+        # is -a + e_new: the new row is lead_inv * [residual | -a + e_new]
+        lead_inv = pow(v[piv], self.p - 2, self.p)
+        self._rows.append([x * lead_inv % self.p for x in v] + [lead_inv])
         self._pivots.append(piv)
-        self._combos.append([-w * lead_inv % self.p for w in self._combine(cs)] + [lead_inv])
         self.size += 1
         return None
 

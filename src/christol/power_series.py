@@ -14,7 +14,7 @@ import sys
 from array import array
 
 from .errors import ModulusMismatch
-from .finite_field import ensure_prime, parse_natural
+from .finite_field import brief, ensure_prime, parse_natural
 
 # (slot width in bytes, array/memoryview format of that width), narrowest
 # first.  The formats are native, so slots are packed and read in the
@@ -121,7 +121,7 @@ class TruncatedSeries:
 
     def truncate(self, n: int) -> "TruncatedSeries":
         if n < 0 or n > self.precision:
-            raise ValueError(f"cannot truncate precision {self.precision} to {n}")
+            raise ValueError(f"cannot truncate precision {self.precision} to {brief(n)}")
         return TruncatedSeries._of(self.p, self.coeffs[:n])
 
     # -- plumbing -----------------------------------------------------

@@ -31,7 +31,7 @@ def section(f: TruncatedSeries, r: int) -> TruncatedSeries:
     none otherwise; that is exactly how many indices p*m + r are below N.
     """
     if not 0 <= r < f.p:
-        raise ValueError(f"residue {r} outside [0, {f.p})")
+        raise ValueError(f"residue {brief(r)} outside [0, {f.p})")
     return TruncatedSeries._of(f.p, f.coeffs[r :: f.p])
 
 

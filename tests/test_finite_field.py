@@ -2,8 +2,21 @@ import reprlib
 
 import pytest
 
-from christol import Dfao, MalformedNumber, ensure_prime
+from christol import (
+    Dfao,
+    MalformedNumber,
+    StateCapExceeded,
+    TruncatedSeries,
+    automatic_to_series,
+    dfao_from_linear,
+    ensure_prime,
+    exact_representation,
+    expand_branch,
+    section,
+)
+from christol.examples import thue_morse_spec
 from christol.finite_field import brief, parse_natural
+from christol.kernel import ClosureConfig, alpha_step
 
 
 def test_modulus_validation():
@@ -47,6 +60,57 @@ def test_messages_show_ints_of_up_to_600_digits_as_reprlib_does(request, limit):
     with pytest.raises(ValueError) as info:
         ensure_prime([10**599])
     assert str(info.value) == f"modulus must be an int, got {reprlib.repr([10**599])}"
+
+
+def _range_checks():
+    """name -> (call, sign, exception type, message template) for each
+    library check that shows a caller's int: call(value) raises, where
+    value has the given sign, and the message shows the value at {}."""
+    spec = thue_morse_spec()
+    rep = exact_representation(spec)
+    series = TruncatedSeries(2, (1,))
+    return {
+        "expand_branch": (lambda v: expand_branch(spec, v), -1, ValueError, "term count must be nonnegative, got {}"),
+        "automatic_to_series": (
+            lambda v: automatic_to_series(rep, v),
+            -1,
+            ValueError,
+            "term count must be nonnegative, got {}",
+        ),
+        "n_eq": (lambda v: ClosureConfig(n_eq=v), -1, ValueError, "n_eq must be at least 8, got {}"),
+        "max_states": (lambda v: ClosureConfig(max_states=v), -1, ValueError, "max_states must be positive, got {}"),
+        "alpha_step": (lambda v: alpha_step(rep, rep.alpha0, v), 1, ValueError, "digit {} outside [0, 2)"),
+        "truncate": (series.truncate, 1, ValueError, "cannot truncate precision 1 to {}"),
+        "section": (lambda v: section(series, v), 1, ValueError, "residue {} outside [0, 2)"),
+        "section closure cap": (
+            lambda v: exact_representation(spec, v),
+            -1,
+            StateCapExceeded,
+            "section closure exceeds {} basis elements",
+        ),
+        "walk cap": (lambda v: dfao_from_linear(rep, v), -1, StateCapExceeded, "reachable vectors exceed {}"),
+    }
+
+
+@pytest.mark.parametrize("limit", ["default", "lowest"])
+@pytest.mark.parametrize("name", list(_range_checks()))
+def test_range_messages_show_the_callers_int_through_brief(request, limit, name):
+    # each message is its function's own at every size of int: a short
+    # one as a bare f-string writes it, one of up to 600 digits as
+    # reprlib.repr() does, and 10**5000 by its bit length, where a bare
+    # f-string would raise the interpreter's int(str) error instead
+    if limit == "lowest":
+        request.getfixturevalue("low_int_limit")
+    call, sign, error, template = _range_checks()[name]
+    for value, shown in (
+        (sign * 7, str(sign * 7)),
+        (sign * 10**599, reprlib.repr(sign * 10**599)),
+        (sign * 10**5000, "<int of 16610 bits>"),
+    ):
+        with pytest.raises(Exception) as info:
+            call(value)
+        assert type(info.value) is error
+        assert str(info.value) == template.format(shown)
 
 
 def test_parse_natural():

@@ -40,32 +40,44 @@ def test_tracker_append_decides_and_adopts():
     assert t.size == 2
 
 
+def combination(coords, members, p, width):
+    """sum_j coords[j] * members[j], entry by entry."""
+    return tuple(sum(c * m[j] for c, m in zip(coords, members)) % p for j in range(width))
+
+
 def test_tracker_coordinates_reproduce_vector():
+    # vectors drawn as zero, a multiple of a member, a combination of
+    # the members, or fresh entries on a random support, so dependent
+    # and independent ones alternate; each decision is checked against
+    # the rank by rref_nullspace_basis, which shares no code with the
+    # tracker, and each set of coordinates against the vector it rebuilds
     rng = random.Random(2718)
-    for p in (2, 3, 7):
-        width = 8
-        t = SpanTracker(p, width)
-        members = []
-        while t.size < 4:
-            v = tuple(rng.randrange(p) for _ in range(width))
-            if t.coordinates(v) is None:
-                t.append(v)
-                members.append(v)
-        for _ in range(200):
-            weights = [rng.randrange(p) for _ in members]
-            combo = tuple(
-                sum(w * m[j] for w, m in zip(weights, members)) % p
-                for j in range(width)
-            )
-            coords = t.coordinates(combo)
-            assert coords is not None
-            assert t.append(combo) == coords
-            assert t.size == 4
-            rebuilt = tuple(
-                sum(c * m[j] for c, m in zip(coords, members)) % p
-                for j in range(width)
-            )
-            assert rebuilt == combo
+    for p in (2, 3, 5, 7, 65521):
+        for width in (1, 6, 13):
+            t = SpanTracker(p, width)
+            members, dependent = [], 0
+            for _ in range(120):
+                kind = rng.randrange(4) if members else 3
+                if kind == 0:
+                    v = (0,) * width
+                elif kind == 1:
+                    v = tuple(rng.randrange(p) * x % p for x in rng.choice(members))
+                elif kind == 2:
+                    v = combination([rng.randrange(p) for _ in members], members, p, width)
+                else:
+                    support = rng.sample(range(width), rng.randint(1, width))
+                    v = tuple(rng.randrange(p) if j in support else 0 for j in range(width))
+                independent = rank(members + [v], p, width) > len(members)
+                coords = t.coordinates(v)
+                assert (coords is None) == independent
+                assert t.append(v) == coords
+                if independent:
+                    members.append(v)
+                else:
+                    assert combination(coords, members, p, width) == v
+                    dependent += 1
+                assert t.size == len(members)
+            assert members and dependent, (p, width)
 
 
 def test_each_append_reduces_its_vector_once(monkeypatch):
