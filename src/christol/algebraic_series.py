@@ -9,9 +9,14 @@ The polynomial text format is a tiny expression language:
 
 Whitespace between tokens is ignored.  There is no unary minus and no
 implicit multiplication: write "2*x", not "2x".  A uint has any
-length.  Degrees are capped at 64 in each variable so a typo like
-x^999999 fails fast instead of allocating, and parentheses nest at most
-100 deep, so deeper text is a syntax error, not a RecursionError.
+length.  Degrees are capped at 64 in each variable, and a product or
+power past the caps is refused before it is formed, so a typo like
+x^999999 fails fast.  Parentheses nest at most 100 deep, so deeper text
+is a syntax error, not a RecursionError.
+
+The parser, the power Q^(p-1) of kernel.exact_representation() and the
+shift below all work on the trimmed grid of BivariatePolynomial.coeffs
+([] is zero) and multiply by _grid_mul(), one cauchy_product().
 
 The BranchSpec constructor checks that a seed of low-order
 coefficients picks exactly one power series f with Q(x, f) = 0, and
@@ -23,7 +28,6 @@ first shifted past the seed prefix that shows the valuation of dQ/dy
 along it; the shifted polynomial has a root of unit slope.
 """
 
-import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -40,6 +44,68 @@ DEFAULT_DEGREE_CAP = 64
 MAX_NESTING = 100  # four parser frames a level, far below the recursion limit
 
 
+def _trim_grid(grid: list) -> list:
+    """grid, a list of row lists of residues, padded in place to a
+    rectangle and stripped of its trailing zero rows and columns."""
+    width = max(map(len, grid), default=0)
+    for row in grid:
+        row.extend([0] * (width - len(row)))
+    while grid and not any(grid[-1]):
+        grid.pop()
+    while grid and not any(row[-1] for row in grid):
+        for row in grid:
+            row.pop()
+    return grid
+
+
+def _grid_add(a, b, p: int, sign: int = 1) -> list:
+    """a + sign*b, trimmed."""
+    out = [list(row) for row in a] + [[] for _ in range(len(b) - len(a))]
+    for row, add in zip(out, b):
+        row.extend([0] * (len(add) - len(row)))
+        for j, c in enumerate(add):
+            row[j] = (row[j] + sign * c) % p
+    return _trim_grid(out)
+
+
+def _grid_mul(a, b, p: int) -> list:
+    """a * b for trimmed grids, by Kronecker substitution: x -> t^w,
+    y -> t, with w the y-width of the product, loses nothing.  F_p[x, y]
+    has no zero divisors, so the product is trimmed and has the summed
+    degrees."""
+    if not a or not b:
+        return []
+    w = len(a[0]) + len(b[0]) - 1
+
+    def packed(g):
+        flat = [0] * (len(g) * w)
+        for i, row in enumerate(g):
+            flat[i * w : i * w + len(row)] = row
+        return flat
+
+    out = cauchy_product(packed(a), packed(b), p, (len(a) + len(b) - 1) * w)
+    return [out[i : i + w] for i in range(0, len(out), w)]
+
+
+def _grid_power(g, e: int, p: int) -> list:
+    """g^e, 0^0 = 1: a monomial directly, else by square-and-multiply."""
+    if not e:
+        return [[1]]
+    if not g:
+        return []
+    if sum(1 for row in g for c in row if c) == 1:
+        # c*x^i*y^j, with c in the last cell of the trimmed grid
+        out = [[0] * ((len(g[0]) - 1) * e + 1) for _ in range((len(g) - 1) * e + 1)]
+        out[-1][-1] = pow(g[-1][-1], e, p)
+        return out
+    out = g
+    for bit in bin(e)[3:]:
+        out = _grid_mul(out, out, p)
+        if bit == "1":
+            out = _grid_mul(out, g, p)
+    return out
+
+
 class BivariatePolynomial:
     """A polynomial Q(x, y) over F_p that genuinely involves y.
 
@@ -53,31 +119,11 @@ class BivariatePolynomial:
 
     def __init__(self, p: int, coeffs):
         ensure_prime(p)
-        grid = [[int(c) % p for c in row] for row in coeffs]
-        width = max((len(row) for row in grid), default=0)
-        for row in grid:
-            row.extend([0] * (width - len(row)))
-        while grid and not any(grid[-1]):
-            grid.pop()
-        while grid and not any(row[-1] for row in grid):
-            for row in grid:
-                row.pop()
+        grid = _trim_grid([[int(c) % p for c in row] for row in coeffs])
         if not grid or len(grid[0]) < 2:
             raise ValueError("polynomial must involve y")
         self.p = p
         self.coeffs = tuple(tuple(row) for row in grid)
-
-    @classmethod
-    def from_dict(cls, p: int, terms: dict) -> "BivariatePolynomial":
-        """Build from {(i, j): coefficient of x^i y^j}."""
-        if not terms:
-            raise ValueError("polynomial must involve y")
-        dx = max(i for i, _ in terms)
-        dy = max(j for _, j in terms)
-        grid = [[0] * (dy + 1) for _ in range(dx + 1)]
-        for (i, j), c in terms.items():
-            grid[i][j] = c
-        return cls(p, grid)
 
     @property
     def dx(self) -> int:
@@ -88,10 +134,10 @@ class BivariatePolynomial:
         return len(self.coeffs[0]) - 1
 
     def _horner(self, f: TruncatedSeries, m: int = 0) -> TruncatedSeries:
-        """The m-th Hasse derivative in y at f, sum_j C(j, m) * Q_j * f**(j-m)
-        with Q_j the x-coefficients of y^j, truncated at f's precision.
-        Horner in y: each step is one series product plus the at most
-        dx+1 coefficients of the next weighted row."""
+        """Q(x, f) for m = 0, (dQ/dy)(x, f) for m = 1: the sum of
+        j^m * Q_j * f**(j-m), Q_j the x-coefficients of y^j, truncated at
+        f's precision.  Horner in y: each step is one series product plus
+        the at most dx+1 coefficients of the next weighted row."""
         if f.p != self.p:
             raise ModulusMismatch(f"mixed moduli {self.p} and {f.p}")
         p, n = self.p, f.precision
@@ -101,7 +147,7 @@ class BivariatePolynomial:
                 acc = list(cauchy_product(acc, f.coeffs, p, n))
             row = [r[j] for r in self.coeffs[:n]]
             acc += [0] * (len(row) - len(acc))
-            w = math.comb(j, m) % p
+            w = j**m % p
             for i, c in enumerate(row):
                 acc[i] = (acc[i] + w * c) % p
         acc += [0] * (n - len(acc))
@@ -158,9 +204,9 @@ class BivariatePolynomial:
 # -- parsing ----------------------------------------------------------
 
 class _Parser:
-    # Operates on {(i, j): residue} dicts and only wraps the final result
-    # in a BivariatePolynomial, since intermediates (like "(1+x)") need
-    # not involve y.
+    # Operates on trimmed grids and only wraps the final result in a
+    # BivariatePolynomial, since intermediates (like "(1+x)") need not
+    # involve y.
 
     def __init__(self, text: str, p: int):
         self.text = text
@@ -190,34 +236,11 @@ class _Parser:
             self._fail("expected an unsigned integer")
         return parse_natural(self.text[start : self.pos])
 
-    def _check_degrees(self, poly):
-        for i, j in poly:
-            if max(i, j) > DEFAULT_DEGREE_CAP:
-                cap = DEFAULT_DEGREE_CAP
-                raise DegreeOverflow(f"term x^{i}*y^{j} exceeds degree caps ({cap}, {cap})")
-
-    def _mul(self, a, b):
-        out = {}
-        for (i1, j1), c1 in a.items():
-            for (i2, j2), c2 in b.items():
-                key = (i1 + i2, j1 + j2)
-                v = (out.get(key, 0) + c1 * c2) % self.p
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-        self._check_degrees(out)
-        return out
-
-    def _addsub(self, a, b, sign):
-        out = dict(a)
-        for key, c in b.items():
-            v = (out.get(key, 0) + sign * c) % self.p
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-        return out
+    def _check_degrees(self, dx: int, dy: int):
+        """Refuse a product or power of these degrees before it is formed."""
+        cap = DEFAULT_DEGREE_CAP
+        if max(dx, dy) > cap:
+            raise DegreeOverflow(f"degrees {brief((dx, dy))} exceed the caps ({cap}, {cap})")
 
     def parse(self):
         poly = self._expr()
@@ -234,30 +257,26 @@ class _Parser:
                 return poly
             self.pos += 1
             rhs = self._term()
-            poly = self._addsub(poly, rhs, 1 if ch == "+" else -1)
+            poly = _grid_add(poly, rhs, self.p, 1 if ch == "+" else -1)
 
     def _term(self):
         poly = self._factor()
         while self._peek() == "*":
             self.pos += 1
-            poly = self._mul(poly, self._factor())
+            rhs = self._factor()
+            if poly and rhs:
+                self._check_degrees(len(poly) + len(rhs) - 2, len(poly[0]) + len(rhs[0]) - 2)
+            poly = _grid_mul(poly, rhs, self.p)
         return poly
 
     def _factor(self):
         poly = self._atom()
         if self._peek() == "^":
             self.pos += 1
-            exponent = self._uint()
-            result = {(0, 0): 1}
-            square = poly
-            e = exponent
-            while e:
-                if e & 1:
-                    result = self._mul(result, square)
-                e >>= 1
-                if e:
-                    square = self._mul(square, square)
-            poly = result
+            e = self._uint()
+            if poly:
+                self._check_degrees(e * (len(poly) - 1), e * (len(poly[0]) - 1))
+            poly = _grid_power(poly, e, self.p)
         return poly
 
     def _atom(self):
@@ -277,13 +296,13 @@ class _Parser:
             return poly
         if ch == "x":
             self.pos += 1
-            return {(1, 0): 1}
+            return [[0], [1]]
         if ch == "y":
             self.pos += 1
-            return {(0, 1): 1}
+            return [[0, 1]]
         if ch.isascii() and ch.isdigit():
             value = self._uint() % self.p
-            return {(0, 0): value} if value else {}
+            return [[value]] if value else []
         self._fail(f"unexpected character {ch!r}")
 
 
@@ -291,13 +310,13 @@ def parse_bivariate(text: str, p: int) -> BivariatePolynomial:
     """Parse polynomial text over F_p into a BivariatePolynomial.
 
     Raises PolynomialSyntaxError (with offset) on malformed text, also
-    past MAX_NESTING parentheses, DegreeOverflow where a term, also an
-    intermediate one, has x- or y-degree above DEFAULT_DEGREE_CAP, and
-    ValueError if the result does not involve y.
+    past MAX_NESTING parentheses, DegreeOverflow where a product or
+    power, also an intermediate one, would have x- or y-degree above
+    DEFAULT_DEGREE_CAP, before it is formed, and ValueError if the result
+    does not involve y.
     """
     ensure_prime(p)
-    terms = _Parser(text, p).parse()
-    return BivariatePolynomial.from_dict(p, terms)
+    return BivariatePolynomial(p, _Parser(text, p).parse())
 
 
 @dataclass(frozen=True)
@@ -428,22 +447,22 @@ def _shift(q: BivariatePolynomial, head, v: int) -> BivariatePolynomial:
     """x^-(2v+1) * Q(x, s + x^(v+1)*z) for the polynomial s = head of
     length v+1, along which Qy has valuation v.
 
-    Its z^m coefficient is x^((v+1)m - 2v - 1) times the m-th Hasse
-    derivative of Q at s, a polynomial of degree at most dx + v*dy, so
-    evaluating at that precision is exact.  The m = 0 term must vanish
-    below x^(2v+1); where it does not, no series extending head is a
+    R(x, z) = Q(x, s + x^(v+1)*z) is formed exactly, by Horner in y over
+    grids.  Its z^m column is x^((v+1)m) times the m-th Hasse derivative
+    of Q at s, and the first of these, Qy(x, s), has valuation v, so
+    below x^(2v+1) only the z^0 column, Q(x, s), can be nonzero.  It
+    must vanish there; where it does not, no series extending head is a
     root, since adding x^(v+1)*z to s moves Q only from x^(2v+1) on.
     """
     p = q.p
-    s = TruncatedSeries._of(p, head + (0,) * (q.dx + v * (q.dy - 1)))
-    hasse = [q._horner(s, m).coeffs for m in range(q.dy + 1)]
-    for k, c in enumerate(hasse[0][: 2 * v + 1]):
-        if c:
+    y = [[c, 0] for c in head] + [[0, 1]]  # s + x^(v+1)*z
+    r = []
+    for j in range(q.dy, -1, -1):
+        r = _grid_add(_grid_mul(r, y, p), [[row[j]] for row in q.coeffs], p)
+    for k in range(2 * v + 1):
+        if r[k][0]:
             raise NoBranch(k)
-    return BivariatePolynomial.from_dict(
-        p,
-        {(i + (v + 1) * m - 2 * v - 1, m): c for m, h in enumerate(hasse) for i, c in enumerate(h) if c},
-    )
+    return BivariatePolynomial(p, r[2 * v + 1 :])
 
 
 def _root_start(q: BivariatePolynomial, seed):

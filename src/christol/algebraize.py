@@ -123,12 +123,7 @@ def guess_polynomial(f: TruncatedSeries, dx: int, dy: int) -> BivariatePolynomia
             raise NoRelationFound(f"no relation within degree bounds ({dx}, {dy})")
         lead = next(v for v in vec if v)
         inv = pow(lead, p - 2, p)
-        terms = {}
-        for idx, v in enumerate(vec):
-            if v:
-                j, i = divmod(idx, dx + 1)
-                terms[(i, j)] = v * inv % p
-        q = BivariatePolynomial.from_dict(p, terms)
+        q = BivariatePolynomial(p, [[v * inv for v in vec[i :: dx + 1]] for i in range(dx + 1)])
         if verify_annihilation(q, f):
             return q
         if r == n:  # pragma: no cover - a kernel vector of all rows annihilates

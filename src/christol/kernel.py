@@ -39,11 +39,11 @@ from functools import reduce
 from operator import mul
 from typing import NamedTuple
 
-from .algebraic_series import BivariatePolynomial, BranchSpec, expand_branch
+from .algebraic_series import BranchSpec, _grid_power, expand_branch
 from .errors import ChristolError, DimensionMismatch, StateCapExceeded
 from .finite_field import brief
 from .linalg import SpanTracker
-from .power_series import TruncatedSeries, cauchy_product
+from .power_series import TruncatedSeries
 from .weeding import section
 
 DEFAULT_N_EQ = 64
@@ -235,23 +235,6 @@ def recheck(rep: OrbitClosure, spec: BranchSpec) -> bool:
     return combo == root.truncate(big)
 
 
-def _packed_power(q: BivariatePolynomial, e: int, width: int) -> tuple:
-    """Q^e for e >= 1, with the coefficient of x^i y^j at i*width + j.
-
-    x -> t^width, y -> t is a ring map into F_p[t] that loses nothing
-    while every y-degree stays below width, so Q^e is a univariate power
-    by repeated squaring through cauchy_product()."""
-    base = [0] * (q.dx * width + q.dy + 1)
-    for i, row in enumerate(q.coeffs):
-        base[i * width : i * width + len(row)] = row
-    out = tuple(base)
-    for bit in bin(e)[3:]:
-        out = cauchy_product(out, out, q.p, 2 * len(out) - 1)
-        if bit == "1":
-            out = cauchy_product(out, base, q.p, len(out) + len(base) - 1)
-    return out
-
-
 def _apply(rows, col, p: int) -> tuple:
     """rows * col."""
     return tuple(sum(map(mul, row, col)) % p for row in rows)
@@ -303,7 +286,9 @@ def exact_representation(spec: BranchSpec, max_states: int = DEFAULT_MAX_STATES)
         B = sum_ij [x^(p*i+r) y^(p*j+p-1)](A * Q^(p-1)) x^i y^j,
 
     so T_r(x^a y^b) reads coefficient (p*i+r-a, p*j+p-1-b) of Q^(p-1).
-    T_r keeps the space deg_x A <= h = deg_x Q, deg_y A <= d = deg_y Q.
+    That power is the grid algebraic_series._grid_power() returns, read
+    row by row.  T_r keeps the space deg_x A <= h = deg_x Q,
+    deg_y A <= d = deg_y Q.
     The start A0 = y*Qy gives f itself, and A(0, a0)/Qy(0, a0) is the
     constant term of the series of A.  Where Qy(0, a0) = 0, the root is
     f = s + x^(v+1)*g for the root g of the shifted polynomial Q~, with s
@@ -330,8 +315,7 @@ def exact_representation(spec: BranchSpec, max_states: int = DEFAULT_MAX_STATES)
     cells = ((p - 1) * h + 1) * ((p - 1) * d + 1)
     if cells > MAX_POWER_CELLS:
         raise ChristolError(f"Q^(p-1) has {cells} coefficients, more than {MAX_POWER_CELLS}")
-    width = (p - 1) * d + 1
-    power = _packed_power(q, p - 1, width)
+    power = _grid_power(q.coeffs, p - 1, p)
 
     # A0 = (s + x^(v+1)*y) * Qy over x^a y^b at index a*(d+1) + b, a <= nx - 1
     nx = h + len(head) + 1
@@ -345,11 +329,11 @@ def exact_representation(spec: BranchSpec, max_states: int = DEFAULT_MAX_STATES)
     # terms[b]: (X, j, w) for each nonzero Q^(p-1) coefficient w at
     # (X, Y) with Y + b = p*j + p - 1, so x^a y^b * it lands in T_r
     terms = [[] for _ in range(d + 1)]
-    for idx, w in enumerate(power):
-        if w:
-            X, Y = divmod(idx, width)
-            for b in range((p - 1 - Y) % p, d + 1, p):
-                terms[b].append((X, (Y + b) // p, w))
+    for X, row in enumerate(power):
+        for Y, w in enumerate(row):
+            if w:
+                for b in range((p - 1 - Y) % p, d + 1, p):
+                    terms[b].append((X, (Y + b) // p, w))
 
     def images(vec, _path):
         """T_0 vec, ..., T_(p-1) vec."""

@@ -263,8 +263,7 @@ def full_matrix_guess(f: TruncatedSeries, dx: int, dy: int) -> BivariatePolynomi
     if not kernel:
         raise NoRelationFound(f"no relation within degree bounds ({dx}, {dy})")
     inv = pow(next(v for v in kernel[0] if v), p - 2, p)
-    terms = {(idx % (dx + 1), idx // (dx + 1)): v * inv % p for idx, v in enumerate(kernel[0]) if v}
-    return BivariatePolynomial.from_dict(p, terms)
+    return BivariatePolynomial(p, [[v * inv % p for v in kernel[0][i :: dx + 1]] for i in range(dx + 1)])
 
 
 def _hasse_rows(q: BivariatePolynomial, a0: int, n: int):

@@ -116,6 +116,145 @@ def test_degree_caps():
         parse_bivariate("x^60*x^60*y", 2)
 
 
+# Each text forms, at the latest, a product or power of these degrees;
+# the last raises 1+x to a 5000-digit exponent, 10^4999.
+OVER_CAP = [
+    ("((1+x)^64*(1+y)^64)^2", "(128, 128)"),
+    ("((1+x)^64*(1+y)^64)*((1+x)^64*(1+y)^64)", "(128, 128)"),
+    ("(1+x+y)^64*(1+x+y)^64", "(128, 128)"),
+    ("x^60*x^60*y", "(120, 0)"),
+    ("y^65", "(0, 65)"),
+    ("(1+x)^1" + "0" * 4999, "(<int of 16607 bits>, 0)"),
+]
+
+
+@pytest.mark.parametrize("limit", ["default", "lowest"])
+def test_over_cap_products_are_refused_before_they_are_formed(monkeypatch, request, limit):
+    if limit == "lowest":
+        request.getfixturevalue("low_int_limit")
+    grid_mul, formed = algebraic_series._grid_mul, []
+
+    def capped_mul(a, b, p):
+        if a and b:
+            degrees = (len(a) + len(b) - 2, len(a[0]) + len(b[0]) - 2)
+            assert max(degrees) <= 64, f"a product of degrees {degrees} was formed"
+            formed.append(degrees)
+        return grid_mul(a, b, p)
+
+    monkeypatch.setattr(algebraic_series, "_grid_mul", capped_mul)
+    for text, degrees in OVER_CAP:
+        with pytest.raises(DegreeOverflow) as info:
+            parse_bivariate(text, 65521)
+        assert str(info.value) == f"degrees {degrees} exceed the caps (64, 64)"
+    assert (64, 64) in formed  # the in-cap products went through the wrapper
+
+
+class _OverCap(Exception):
+    pass
+
+
+def _schoolbook_times(a, b, p):
+    out = {}
+    for (i, j), c in a.items():
+        for (k, m), d in b.items():
+            out[i + k, j + m] = out.get((i + k, j + m), 0) + c * d
+    out = {key: c % p for key, c in out.items() if c % p}
+    if any(max(key) > 64 for key in out):
+        raise _OverCap
+    return out
+
+
+def _schoolbook(tree, p):
+    """The polynomial of an expression tree as {(i, j): residue}: sums
+    and schoolbook products over Python ints, reduced mod p, and a power
+    as repeated products; _OverCap where a product passes the caps."""
+    kind = tree[0]
+    if kind in ("x", "y"):
+        return {(1, 0) if kind == "x" else (0, 1): 1}
+    if kind == "n":
+        return {(0, 0): tree[1] % p} if tree[1] % p else {}
+    a = _schoolbook(tree[1], p)
+    if kind == "^":
+        out = {(0, 0): 1}
+        for _ in range(tree[2]):
+            out = _schoolbook_times(out, a, p)
+        return out
+    b = _schoolbook(tree[2], p)
+    if kind == "*":
+        return _schoolbook_times(a, b, p)
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + (c if kind == "+" else -c)
+    return {key: c % p for key, c in out.items() if c % p}
+
+
+def _render(tree) -> str:
+    """tree as text, with the parentheses the grammar needs and no more."""
+    kind = tree[0]
+    if kind in ("x", "y"):
+        return kind
+    if kind == "n":
+        return str(tree[1])
+    left = _render(tree[1])
+    if kind == "^":
+        base = left if tree[1][0] in ("x", "y", "n") else f"({left})"
+        return f"{base}^{tree[2]}"
+    # a sum binds loosest, and both operators are left-associative
+    right = _render(tree[2])
+    if kind == "*" and tree[1][0] in ("+", "-"):
+        left = f"({left})"
+    if tree[2][0] in ("+", "-") or kind == tree[2][0] == "*":
+        right = f"({right})"
+    return f"{left} {kind} {right}"
+
+
+def _random_tree(rng, depth, p):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([("x",), ("y",), ("y",), ("n", rng.randrange(p)), ("n", rng.randrange(10**30))])
+    kind = rng.choice("+-**^^c")
+    if kind == "^":
+        if rng.random() < 0.4:  # a small base to a power near the caps
+            return ("^", _random_tree(rng, 1, p), rng.randrange(20, 70))
+        return ("^", _random_tree(rng, depth - 1, p), rng.choice([0, 1, 2, 3, rng.randrange(12)]))
+    if kind == "c":  # a sum whose leading terms cancel: (t + u) - t
+        t, u = _random_tree(rng, depth - 1, p), _random_tree(rng, depth - 1, p)
+        return ("-", ("+", t, u), t)
+    return (kind, _random_tree(rng, depth - 1, p), _random_tree(rng, depth - 1, p))
+
+
+def test_parse_matches_a_schoolbook_oracle():
+    rng = random.Random(20261020)
+    # (1+2x+3y+5xy)^64 is dense over F_65521, and ((1+x)(1+y))^(p^k-1)
+    # over F_p, for exponents 63, 26 and 24 at p = 2, 3 and 5
+    xy = ("+", ("+", ("n", 1), ("x",)), ("+", ("y",), ("*", ("x",), ("y",))))
+    dense = [("^", xy, e) for e in (63, 26, 24)]
+    dense.append(("^", ("+", ("+", ("n", 1), ("*", ("n", 2), ("x",))),
+                        ("+", ("*", ("n", 3), ("y",)), ("*", ("n", 5), ("*", ("x",), ("y",))))), 64))
+    outcomes = {}
+    for p in (2, 3, 5, 65521):
+        for tree in dense + [_random_tree(rng, rng.randrange(1, 6), p) for _ in range(300)]:
+            text = _render(tree)
+            try:
+                want = _schoolbook(tree, p)
+            except _OverCap:
+                with pytest.raises(DegreeOverflow):
+                    parse_bivariate(text, p)
+                outcome = "over the caps"
+            else:
+                if not any(j for _, j in want):
+                    with pytest.raises(ValueError, match="must involve y"):
+                        parse_bivariate(text, p)
+                    outcome = "no y"
+                else:
+                    dx, dy = max(i for i, _ in want), max(j for _, j in want)
+                    grid = tuple(tuple(want.get((i, j), 0) for j in range(dy + 1)) for i in range(dx + 1))
+                    assert parse_bivariate(text, p).coeffs == grid, (text, p)
+                    outcome = "dense" if len(want) == len(grid) * len(grid[0]) > 100 else "parsed"
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    assert outcomes["dense"] >= 7 and outcomes["parsed"] > 400
+    assert outcomes["over the caps"] > 40 and outcomes["no y"] > 100
+
+
 def test_to_text_round_trip():
     texts = [
         "(1+x)^3*y^2 + (1+x)^2*y + x",
@@ -408,6 +547,35 @@ def test_shift_expands_close_roots():
                     assert f.coeffs == tuple(r[:n]) + (0,) * (n - len(r)), (text, n)
 
 
+def test_shift_is_the_substitution_it_claims():
+    # x^(2v+1) * qt(x, z) = Q(x, s + x^(v+1)*z) for the head s of length
+    # v+1, at random polynomials z, to a precision past both x-degrees
+    rng = random.Random(24)
+    shifted = 0
+    for case in range(600):
+        p = (2, 3, 5, 7)[case % 4]
+        if case % 2:
+            q, a0 = random_singular_spec(rng, p)
+            seed = (a0,) + tuple(rng.randrange(p) for _ in range(rng.randrange(1, 5)))
+        else:
+            text, _, seed = close_roots_case(rng, p, rng.randint(1, 4))
+            q = parse_bivariate(text, p)
+        try:
+            spec = BranchSpec(q, seed)
+        except (AmbiguousBranch, NoBranch):
+            continue
+        v = len(spec.head) - 1
+        if v < 1:
+            continue
+        shifted += 1
+        for _ in range(3):
+            z = [rng.randrange(p) for _ in range(rng.randrange(1, 5))]
+            n = q.dx + q.dy * (v + len(z)) + 2 * v + 2
+            lhs = naive_compose(spec.qt.coeffs, p, z, n - 2 * v - 1)
+            assert [0] * (2 * v + 1) + lhs == naive_compose(q.coeffs, p, list(spec.head) + z, n), (q, seed, z)
+    assert shifted > 150
+
+
 def test_shift_against_the_baseline_on_singular_specs():
     # The baseline returns at most the seed when dQ/dy(0, a0) = 0, and it
     # checks the seed only below the term count, so it runs to the end of
@@ -488,11 +656,11 @@ def test_expansion_annihilates_random_polynomials():
     successes = 0
     for _ in range(400):
         p = rng.choice((2, 3, 5))
-        terms = {}
+        grid = [[0] * 3 for _ in range(4)]
         for _ in range(rng.randrange(2, 7)):
-            terms[(rng.randrange(4), rng.randrange(3))] = rng.randrange(1, p)
-        terms[(0, rng.randrange(1, 3))] = rng.randrange(1, p)
-        q = BivariatePolynomial.from_dict(p, terms)
+            grid[rng.randrange(4)][rng.randrange(3)] = rng.randrange(1, p)
+        grid[0][rng.randrange(1, 3)] = rng.randrange(1, p)
+        q = BivariatePolynomial(p, grid)
         try:
             f = expand_branch(BranchSpec(q), 128)
         except ChristolError:
