@@ -130,12 +130,12 @@ def build_dfao(spec, cfg: ClosureConfig | None = None) -> Dfao:
     """
     cfg = cfg or ClosureConfig()
     expander = PathExpander(spec)
-    first = expander.series((), cfg.n_eq).truncate(cfg.n_eq).coeffs
+    first = expander.series((), cfg.n_eq).coeffs
     paths = {first: ()}  # each state's coefficients -> the path that found it
 
     def step(coeffs, d):
         path = paths[coeffs] + (d,)
-        child = expander.series(path, cfg.n_eq).truncate(cfg.n_eq).coeffs
+        child = expander.series(path, cfg.n_eq).coeffs
         paths.setdefault(child, path)
         return child
 

@@ -27,6 +27,8 @@ Basis elements remember the digit path that produced them, so any of
 them can be recomputed from the defining polynomial at any precision.
 Only the oracle's result, an OrbitClosure, carries them and n_eq; the
 exact route returns the bare machine, a KernelRepresentation.
+orbit_closure(), automaton.build_dfao() and recheck() read every series
+through PathExpander, and recheck() sums through _apply().
 
 Both constructions close a span with the same breadth-first search,
 _span_closure(), which fixes the order of the basis.  They share nothing
@@ -35,7 +37,6 @@ the oracle the coefficients of truncated series under sections.
 """
 
 from dataclasses import dataclass
-from functools import reduce
 from operator import mul
 from typing import NamedTuple
 
@@ -73,25 +74,26 @@ class ClosureConfig:
 
 
 class PathExpander:
-    """Computes the series at the end of a digit path, growing the root
-    expansion on demand.
+    """The one source of truncated series for the oracles: the series at
+    the end of a digit path, from one root expansion grown on demand.
 
-    A path of length L at target precision t needs the root series to
-    t * p**L coefficients; the root is re-expanded with doubling whenever
-    a request outgrows it (expansion is deterministic, so earlier
-    coefficients never change)."""
+    series(path, n) gives exactly n coefficients.  A path of length L
+    needs the root to n * p**L coefficients, and the sections along the
+    path keep exactly n of those; the root is re-expanded with doubling
+    whenever a request outgrows it (expansion is deterministic, so
+    earlier coefficients never change)."""
 
     def __init__(self, spec: BranchSpec):
         self.spec = spec
         self._root = None
 
-    def series(self, path, precision: int) -> TruncatedSeries:
-        need = precision * self.spec.p ** len(path)
+    def series(self, path, n: int) -> TruncatedSeries:
+        need = n * self.spec.p ** len(path)
         if self._root is None:
             self._root = expand_branch(self.spec, need)
         elif self._root.precision < need:
             self._root = expand_branch(self.spec, max(need, 2 * self._root.precision))
-        s = self._root
+        s = self._root.truncate(need)
         for r in path:
             s = section(s, r)
         return s
@@ -151,9 +153,9 @@ def orbit_closure(spec: BranchSpec, cfg: ClosureConfig | None = None) -> OrbitCl
 
     def images(_coeffs, path):
         # lazy, so the cap is checked before the next section is expanded
-        return (expander.series(path + (d,), n_eq).truncate(n_eq).coeffs for d in range(p))
+        return (expander.series(path + (d,), n_eq).coeffs for d in range(p))
 
-    first = expander.series((), n_eq).truncate(n_eq).coeffs
+    first = expander.series((), n_eq).coeffs
     members, paths, matrices = _span_closure(p, first, images, cfg.max_states)
     m = len(members)
     return OrbitClosure(
@@ -193,46 +195,41 @@ def alpha_output(rep: KernelRepresentation, alpha) -> int:
 def recheck(rep: OrbitClosure, spec: BranchSpec) -> bool:
     """Re-verify every stored relation at 2 * n_eq coefficients.
 
-    Expands the root once, far enough for the deepest basis path, takes
-    each basis series from it by sections, and replays the basis
-    prefixes, the output vector, the matrix relations and alpha0 against
-    them.  False means the closure was a truncation artifact (or the
-    representation was tampered with); True upgrades the certificate to
-    the larger precision.  ValueError for anything but an OrbitClosure,
-    such as the machine from exact_representation(): it has no
-    truncation to recheck, and no basis series to replay.
+    False unless len(alpha0) = len(basis) = m = len(b0) and there are p
+    matrices of m x m.  One PathExpander gives each basis series z_i,
+    its p sections and the root, deepest path first, so the root is
+    expanded once.  The basis prefixes and b0 are replayed against the
+    z_i, each matrix row and alpha0 against sum_j w_j z_j from _apply().
+    False means a truncation artifact (or tampering); True upgrades the
+    certificate to the larger precision.  ValueError for anything but an
+    OrbitClosure, such as the machine from exact_representation(): it
+    has no truncation to recheck, and no basis series to replay.
     """
     if not isinstance(rep, OrbitClosure):
         raise ValueError("recheck needs a representation from orbit_closure(), which has n_eq")
-    big = 2 * rep.n_eq
-    depth = max((len(el.path) for el in rep.basis), default=0)
-    # p*big coefficients at the deepest path, so each section keeps >= big
-    root = expand_branch(spec, rep.p * big * rep.p**depth)
-    fat = [reduce(section, el.path, root) for el in rep.basis]
-    zs = [s.truncate(big) for s in fat]
-
+    p, m, big = rep.p, rep.m, 2 * rep.n_eq
+    if not (
+        len(rep.alpha0) == len(rep.basis) == m
+        and len(rep.matrices) == p
+        and all(len(mat) == m and all(len(row) == m for row in mat) for mat in rep.matrices)
+    ):
+        return False
+    expander = PathExpander(spec)
+    # the deepest path first, so the root is expanded once
+    images = {
+        el.path: [expander.series(el.path + (d,), big).coeffs for d in range(p)]
+        for el in sorted(rep.basis, key=lambda el: len(el.path), reverse=True)
+    }
+    zs = [expander.series(el.path, big) for el in rep.basis]
+    for z, el, b in zip(zs, rep.basis, rep.b0):
+        if z.truncate(rep.n_eq) != el.series or z.coeffs[0] != b:
+            return False
+    # grid[k] is coefficient k of every z_j, so _apply(grid, w) is sum_j w_j z_j
+    grid = [[z.coeffs[k] for z in zs] for k in range(big)]
     for i, el in enumerate(rep.basis):
-        if zs[i].truncate(rep.n_eq) != el.series:
+        if any(_apply(grid, rep.matrices[d][i], p) != images[el.path][d] for d in range(p)):
             return False
-        if rep.b0[i] != zs[i].coeffs[0]:
-            return False
-
-    for d in range(rep.p):
-        for i in range(rep.m):
-            lhs = section(fat[i], d).truncate(big)
-            rhs = TruncatedSeries.zero(rep.p, big)
-            for j in range(rep.m):
-                w = rep.matrices[d][i][j]
-                if w:
-                    rhs = rhs + zs[j].scale(w)
-            if lhs != rhs:
-                return False
-
-    combo = TruncatedSeries.zero(rep.p, big)
-    for j in range(rep.m):
-        if rep.alpha0[j]:
-            combo = combo + zs[j].scale(rep.alpha0[j])
-    return combo == root.truncate(big)
+    return _apply(grid, rep.alpha0, p) == expander.series((), big).coeffs
 
 
 def _apply(rows, col, p: int) -> tuple:

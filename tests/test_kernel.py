@@ -144,6 +144,15 @@ def test_recheck_rejects_tampering():
     z1, z2 = rep.basis
     mislabelled = (z1, z2._replace(series=z1.series))
     assert not recheck(dataclasses.replace(rep, basis=mislabelled), spec)
+    # malformed shapes: len(alpha0) = len(basis) = m = len(b0), p matrices of m x m
+    for malformed in (
+        dict(alpha0=(1, 0, 0)),
+        dict(alpha0=(1,)),
+        dict(b0=(0, 1, 1)),
+        dict(basis=rep.basis[:1]),
+        dict(matrices=rep.matrices[:1]),
+    ):
+        assert not recheck(dataclasses.replace(rep, **malformed), spec), malformed
 
 
 def test_recheck_expands_the_root_once(monkeypatch):
@@ -227,13 +236,11 @@ def test_path_expander_growth():
     s = expander.series((1, 0), 16)
     # path (1, 0): first take residue 1, then residue 0 of the result
     direct = section(section(want, 1), 0)
-    assert s.precision >= 16
-    n = min(s.precision, direct.precision)
-    assert s.truncate(n) == direct.truncate(n)
+    assert s == direct.truncate(16)
     # asking for more precision later re-expands instead of failing
     t = expander.series((1, 0), 300)
-    assert t.precision >= 300
-    assert t.truncate(s.precision) == s
+    assert t.precision == 300
+    assert t.truncate(16) == s
 
 
 def test_path_expander_matches_one_expansion_and_sections():
@@ -249,9 +256,32 @@ def test_path_expander_matches_one_expansion_and_sections():
             want = root
             for r in path:
                 want = section(want, r)
-            assert s.precision >= 12
-            n = min(s.precision, want.precision)
-            assert s.truncate(n) == want.truncate(n), (spec, path)
+            assert s == want.truncate(12), (spec, path)
+
+
+def test_path_expander_gives_exactly_the_coefficients_asked(monkeypatch):
+    # every series the orbit search asks for, against one expansion to
+    # n * p^len(path) coefficients followed by sections
+    asked = []
+    series = PathExpander.series
+
+    def recording(self, path, n):
+        s = series(self, path, n)
+        asked.append((self.spec, path, n, s))
+        return s
+
+    monkeypatch.setattr(PathExpander, "series", recording)
+    rng = random.Random(27)
+    specs = [spec for _, spec in shipped_specs()]
+    specs += [random_separable_spec(rng, p, 2, 2) for p in (2, 3, 5) for _ in range(4)]
+    for spec in specs:
+        orbit_closure(spec)
+    assert {spec for spec, *_ in asked} == set(specs)
+    for spec, path, n, s in asked:
+        want = expand_branch(spec, n * spec.p ** len(path))
+        for r in path:
+            want = section(want, r)
+        assert s.precision == n and s == want, (spec, path)
 
 
 def test_representation_shape_invariants():
