@@ -44,6 +44,13 @@ DEFAULT_DEGREE_CAP = 64
 MAX_NESTING = 100  # four parser frames a level, far below the recursion limit
 
 
+def _check_degrees(dx: int, dy: int):
+    """Refuse a polynomial of these degrees, before it is formed."""
+    cap = DEFAULT_DEGREE_CAP
+    if max(dx, dy) > cap:
+        raise DegreeOverflow(f"degrees {brief((dx, dy))} exceed the caps ({cap}, {cap})")
+
+
 def _trim_grid(grid: list) -> list:
     """grid, a list of row lists of residues, padded in place to a
     rectangle and stripped of its trailing zero rows and columns."""
@@ -166,10 +173,9 @@ class BivariatePolynomial:
         return self._horner(TruncatedSeries._of(self.p, (a0,)), 1).coeffs[0]
 
     def to_text(self) -> str:
-        """Render in the input grammar; parse_bivariate() round-trips it.
-
-        Terms appear in lexicographic (j, i) order with residues spelled
-        out, e.g. "x + y + 2*x*y^2".
+        """Render in the input grammar, which parse_bivariate() reads back
+        within the degree caps.  Terms appear in lexicographic (j, i)
+        order with residues spelled out, e.g. "x + y + 2*x*y^2".
         """
         parts = []
         for j in range(self.dy + 1):
@@ -236,12 +242,6 @@ class _Parser:
             self._fail("expected an unsigned integer")
         return parse_natural(self.text[start : self.pos])
 
-    def _check_degrees(self, dx: int, dy: int):
-        """Refuse a product or power of these degrees before it is formed."""
-        cap = DEFAULT_DEGREE_CAP
-        if max(dx, dy) > cap:
-            raise DegreeOverflow(f"degrees {brief((dx, dy))} exceed the caps ({cap}, {cap})")
-
     def parse(self):
         poly = self._expr()
         self._skip_ws()
@@ -265,7 +265,7 @@ class _Parser:
             self.pos += 1
             rhs = self._factor()
             if poly and rhs:
-                self._check_degrees(len(poly) + len(rhs) - 2, len(poly[0]) + len(rhs[0]) - 2)
+                _check_degrees(len(poly) + len(rhs) - 2, len(poly[0]) + len(rhs[0]) - 2)
             poly = _grid_mul(poly, rhs, self.p)
         return poly
 
@@ -275,7 +275,7 @@ class _Parser:
             self.pos += 1
             e = self._uint()
             if poly:
-                self._check_degrees(e * (len(poly) - 1), e * (len(poly[0]) - 1))
+                _check_degrees(e * (len(poly) - 1), e * (len(poly[0]) - 1))
             poly = _grid_power(poly, e, self.p)
         return poly
 

@@ -19,7 +19,7 @@ annihilates the given truncation; more coefficients give a stronger
 certificate, never a different normalized Q).
 """
 
-from .algebraic_series import BivariatePolynomial, verify_annihilation
+from .algebraic_series import BivariatePolynomial, _check_degrees, verify_annihilation
 from .errors import NoRelationFound
 from .finite_field import brief
 from .kernel import KernelRepresentation, alpha_output, alpha_step
@@ -84,7 +84,8 @@ def guess_polynomial(f: TruncatedSeries, dx: int, dy: int) -> BivariatePolynomia
     Needs f to carry at least (dx+1)*(dy+1) + dx + dy coefficients:
     enough rows that the kernel is cut out by a comfortable margin of
     equations beyond the unknown count.  Raises NoRelationFound when the
-    evaluation matrix has full column rank.
+    evaluation matrix has full column rank, and DegreeOverflow, before
+    it is built, for a bound past the parser's DEFAULT_DEGREE_CAP.
 
     The relation is found on the first r = 2k+8 rows, k = (dx+1)*(dy+1)
     the number of columns, and certified on all of them; r doubles until
@@ -108,6 +109,7 @@ def guess_polynomial(f: TruncatedSeries, dx: int, dy: int) -> BivariatePolynomia
         raise ValueError(
             f"series precision {n} too small for bounds ({brief(dx)}, {brief(dy)}); need {brief(needed)}"
         )
+    _check_degrees(dx, dy)
     p = f.p
     r = min(n, 2 * k + 8)
     while True:

@@ -21,14 +21,14 @@ series: starting from the series itself, apply every section, keep the
 results that are linearly independent of what came before, and record
 the coordinates of the rest.  All comparisons happen at a fixed
 truncation precision n_eq.  That makes the closure a certificate at
-precision n_eq, not a proof; recheck() re-derives every stored
-relation at twice that precision to catch truncation accidents.
+precision n_eq, not a proof; recheck() builds it again at twice that
+precision and requires the same machine, to catch truncation accidents.
 Basis elements remember the digit path that produced them, so any of
 them can be recomputed from the defining polynomial at any precision.
 Only the oracle's result, an OrbitClosure, carries them and n_eq; the
-exact route returns the bare machine, a KernelRepresentation.
-orbit_closure(), automaton.build_dfao() and recheck() read every series
-through PathExpander, and recheck() sums through _apply().
+exact route returns the bare machine, a KernelRepresentation, whose
+constructor checks every linear machine.  orbit_closure() and
+automaton.build_dfao() read every series through PathExpander.
 
 Both constructions close a span with the same breadth-first search,
 _span_closure(), which fixes the order of the basis.  They share nothing
@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 from .algebraic_series import BranchSpec, _grid_power, expand_branch
 from .errors import ChristolError, DimensionMismatch, StateCapExceeded
-from .finite_field import brief
+from .finite_field import brief, ensure_prime
 from .linalg import SpanTracker
 from .power_series import TruncatedSeries
 from .weeding import section
@@ -110,13 +110,29 @@ class KernelRepresentation:
     update matrix per digit, the start vector alpha0 and the output
     vector b0.  Row vectors update as alpha <- alpha * M[d], digits least
     significant first, and alpha . b0 is the output.  m = 0 is the zero
-    series: alpha0 = b0 = () and every output is 0.
+    series: alpha0 = b0 = () and every output is 0.  ValueError unless p
+    is prime, there are p matrices, each m x m, alpha0 has m entries, and
+    every entry is an int (not True, not 1.0) in [0, p); messages show
+    the value through brief().
     """
 
     p: int
     matrices: tuple
     b0: tuple
     alpha0: tuple
+
+    def __post_init__(self):
+        p, m, mats = ensure_prime(self.p), len(self.b0), self.matrices
+        heights = tuple(map(len, mats))
+        if heights != (m,) * p:
+            raise ValueError(f"matrices have {brief(heights)} rows, expected {p} matrices of m = {m}")
+        rows = [(f"matrix {d} row {i}", row) for d in range(p) for i, row in enumerate(mats[d])]
+        for name, vec in [("b0", self.b0), ("alpha0", self.alpha0), *rows]:
+            if len(vec) != m:
+                raise ValueError(f"{name} has {len(vec)} entries, expected m = {m}")
+            for x in vec:
+                if type(x) is not int or not 0 <= x < p:
+                    raise ValueError(f"{name} entry {brief(x)} is not an int in [0, {p})")
 
     @property
     def m(self) -> int:
@@ -125,7 +141,7 @@ class KernelRepresentation:
 
 @dataclass(frozen=True)
 class OrbitClosure(KernelRepresentation):
-    """The machine orbit_closure() finds, with what recheck() replays.
+    """The machine orbit_closure() finds, with what recheck() compares.
 
     basis holds the BasisElement z_1..z_m of the section closure,
     matrices[d][i][j] is the j-th coordinate of section(z_i, d) over that
@@ -195,41 +211,24 @@ def alpha_output(rep: KernelRepresentation, alpha) -> int:
 def recheck(rep: OrbitClosure, spec: BranchSpec) -> bool:
     """Re-verify every stored relation at 2 * n_eq coefficients.
 
-    False unless len(alpha0) = len(basis) = m = len(b0) and there are p
-    matrices of m x m.  One PathExpander gives each basis series z_i,
-    its p sections and the root, deepest path first, so the root is
-    expanded once.  The basis prefixes and b0 are replayed against the
-    z_i, each matrix row and alpha0 against sum_j w_j z_j from _apply().
-    False means a truncation artifact (or tampering); True upgrades the
-    certificate to the larger precision.  ValueError for anything but an
-    OrbitClosure, such as the machine from exact_representation(): it
-    has no truncation to recheck, and no basis series to replay.
+    orbit_closure() builds the closure of spec again at 2 * n_eq, with
+    at most max(m, 1) basis elements, and rep must match it: matrices,
+    b0, alpha0, basis paths, and basis series cut to n_eq.  A basis
+    independent at n_eq stays so, and a failing relation adds a member,
+    so they match exactly when every stored relation holds at 2 * n_eq.
+    False means a truncation artifact or tampering (a basis the search
+    does not adopt included); True upgrades the certificate.  ValueError
+    for anything but an OrbitClosure, such as the machine from
+    exact_representation(): it has no truncation to recheck.
     """
     if not isinstance(rep, OrbitClosure):
         raise ValueError("recheck needs a representation from orbit_closure(), which has n_eq")
-    p, m, big = rep.p, rep.m, 2 * rep.n_eq
-    if not (
-        len(rep.alpha0) == len(rep.basis) == m
-        and len(rep.matrices) == p
-        and all(len(mat) == m and all(len(row) == m for row in mat) for mat in rep.matrices)
-    ):
+    try:
+        big = orbit_closure(spec, ClosureConfig(2 * rep.n_eq, max(rep.m, 1)))
+    except StateCapExceeded:
         return False
-    expander = PathExpander(spec)
-    # the deepest path first, so the root is expanded once
-    images = {
-        el.path: [expander.series(el.path + (d,), big).coeffs for d in range(p)]
-        for el in sorted(rep.basis, key=lambda el: len(el.path), reverse=True)
-    }
-    zs = [expander.series(el.path, big) for el in rep.basis]
-    for z, el, b in zip(zs, rep.basis, rep.b0):
-        if z.truncate(rep.n_eq) != el.series or z.coeffs[0] != b:
-            return False
-    # grid[k] is coefficient k of every z_j, so _apply(grid, w) is sum_j w_j z_j
-    grid = [[z.coeffs[k] for z in zs] for k in range(big)]
-    for i, el in enumerate(rep.basis):
-        if any(_apply(grid, rep.matrices[d][i], p) != images[el.path][d] for d in range(p)):
-            return False
-    return _apply(grid, rep.alpha0, p) == expander.series((), big).coeffs
+    cut = tuple(BasisElement(el.path, el.series.truncate(rep.n_eq)) for el in big.basis)
+    return (big.matrices, big.b0, big.alpha0, cut) == (rep.matrices, rep.b0, rep.alpha0, tuple(rep.basis))
 
 
 def _apply(rows, col, p: int) -> tuple:

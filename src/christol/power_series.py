@@ -79,10 +79,6 @@ class TruncatedSeries:
         series.coeffs = coeffs
         return series
 
-    @classmethod
-    def zero(cls, p: int, precision: int) -> "TruncatedSeries":
-        return cls(p, (0,) * precision)
-
     @property
     def precision(self) -> int:
         return len(self.coeffs)

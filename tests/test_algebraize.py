@@ -5,6 +5,7 @@ import pytest
 from christol import (
     BivariatePolynomial,
     BranchSpec,
+    DegreeOverflow,
     Dfao,
     NoRelationFound,
     StateCapExceeded,
@@ -145,6 +146,27 @@ def test_guess_input_validation():
         guess_polynomial(f, 1, 0)
     with pytest.raises(ValueError):
         guess_polynomial(f, 3, 2)  # needs 17 coefficients, has 16
+
+
+def test_guess_refuses_bounds_past_the_degree_caps(monkeypatch):
+    # 1/(1+x^70) over F_2 satisfies 1 + y + x^70*y, which to_text() would
+    # write and parse_bivariate() refuse; the bound is refused before any
+    # product or elimination, and the message names the caps
+    def never(*_args):
+        raise AssertionError("arithmetic past the caps")
+
+    f = TruncatedSeries(2, rational_coefficients(2, [1], [1] + [0] * 69 + [1], 400))
+    with monkeypatch.context() as patched:
+        patched.setattr(algebraize, "cauchy_product", never)
+        patched.setattr(algebraize, "first_dependency", never)
+        for dx, dy in ((70, 1), (1, 65)):
+            with pytest.raises(DegreeOverflow, match=r"exceed the caps \(64, 64\)"):
+                guess_polynomial(f, dx, dy)
+    # at the caps the relation is found, and its text parses back
+    f = TruncatedSeries(2, rational_coefficients(2, [1], [1] + [0] * 63 + [1], 400))
+    q = guess_polynomial(f, 64, 1)
+    assert q.to_text() == "1 + y + x^64*y"
+    assert parse_bivariate(q.to_text(), 2) == q
 
 
 def test_guess_output_is_normalized():

@@ -487,6 +487,19 @@ def test_algebraize_insufficient_precision(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_algebraize_refuses_bounds_past_the_degree_caps(capsys, tmp_path):
+    # the relation 1 + y + x^70*y of 1/(1+x^70) is past the caps, so
+    # automaton --poly would refuse its text: algebraize refuses the bound
+    series_file = tmp_path / "long.txt"
+    series_file.write_text(",".join("1" if n % 70 == 0 else "0" for n in range(400)))
+    code, out, err = run(
+        capsys, "algebraize", "--p", "2",
+        "--series-file", str(series_file), "--dx", "70", "--dy", "1",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "exceed the caps (64, 64)" in err
+
+
 def test_usage_errors_from_argparse(capsys):
     assert run(capsys, "expand", "--p", "2")[0] == 2  # missing required
     assert run(capsys, "frobnicate")[0] == 2  # unknown subcommand

@@ -22,7 +22,7 @@ from christol import (
 )
 from christol import kernel
 from christol.examples import all_ones_spec, central_binomial_spec, shipped_specs, thue_morse_spec
-from support import base_digits, random_separable_spec, rank
+from support import base_digits, random_separable_spec, rank, replay_relations
 
 
 def test_parity_closure_is_two_dimensional():
@@ -144,18 +144,36 @@ def test_recheck_rejects_tampering():
     z1, z2 = rep.basis
     mislabelled = (z1, z2._replace(series=z1.series))
     assert not recheck(dataclasses.replace(rep, basis=mislabelled), spec)
-    # malformed shapes: len(alpha0) = len(basis) = m = len(b0), p matrices of m x m
+    # a basis shorter than m, the one shape the constructor leaves open
+    assert not recheck(dataclasses.replace(rep, basis=rep.basis[:1]), spec)
+
+
+def test_malformed_closures_fail_at_construction():
+    # the KernelRepresentation constructor refuses them before recheck runs
+    rep = orbit_closure(thue_morse_spec())
     for malformed in (
         dict(alpha0=(1, 0, 0)),
         dict(alpha0=(1,)),
         dict(b0=(0, 1, 1)),
-        dict(basis=rep.basis[:1]),
         dict(matrices=rep.matrices[:1]),
     ):
-        assert not recheck(dataclasses.replace(rep, **malformed), spec), malformed
+        with pytest.raises(ValueError):
+            dataclasses.replace(rep, **malformed)
 
 
-def test_recheck_expands_the_root_once(monkeypatch):
+def test_recheck_rejects_a_path_digit_outside_the_field():
+    # a basis path with digit 2 over F_2 is tampering, not a crash
+    spec = thue_morse_spec()
+    rep = orbit_closure(spec)
+    z1, z2 = rep.basis
+    bad = dataclasses.replace(rep, basis=(z1, z2._replace(path=(2,))))
+    assert not recheck(bad, spec)
+    assert not replay_relations(bad, spec)
+
+
+def test_recheck_grows_the_root_by_doubling(monkeypatch):
+    # the rebuilt closure at 2 * n_eq asks for the sections of its
+    # deepest basis path, so the largest expansion is 2*n_eq * p^(depth+1)
     spec = thue_morse_spec()
     rep = orbit_closure(spec)
     depth = max(len(el.path) for el in rep.basis)
@@ -168,7 +186,57 @@ def test_recheck_expands_the_root_once(monkeypatch):
 
     monkeypatch.setattr(kernel, "expand_branch", counting)
     assert recheck(rep, spec)
-    assert calls == [2 * 2 * rep.n_eq * 2**depth]
+    assert max(calls) == 2 * 2 * rep.n_eq * 2**depth
+    assert all(2 * a <= b for a, b in zip(calls, calls[1:]))
+
+
+def test_recheck_agrees_with_the_replay_of_every_relation():
+    # the rebuilt closure at 2 * n_eq against the dot-product replay of
+    # tests/support.py, at a precision where truncation accidents happen
+    # and at the default
+    rng = random.Random(28)
+    specs = [spec for _, spec in shipped_specs()]
+    for p, dx, dy, count in ((2, 4, 3, 12), (3, 4, 3, 12), (5, 3, 2, 6), (7, 2, 2, 6)):
+        specs += [random_separable_spec(rng, p, dx, dy) for _ in range(count)]
+    verdicts = set()
+    for n_eq in (8, 64):
+        for spec in specs:
+            rep = orbit_closure(spec, ClosureConfig(n_eq))
+            verdict = recheck(rep, spec)
+            assert verdict == replay_relations(rep, spec), (n_eq, spec)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_linear_machine_constructor_checks_every_field():
+    rep = exact_representation(thue_morse_spec())
+    assert (rep.p, rep.m) == (2, 2)
+    one, two = rep.matrices
+    for bad in (
+        dict(matrices=(((1.0, 0), (0, 1)), two)),  # a float entry
+        dict(matrices=(((True, 0), (0, 1)), two)),  # a bool entry
+        dict(matrices=(one, ((0, 1), (1, -1)))),  # a negative entry
+        dict(alpha0=(7, 0)),  # outside [0, p)
+        dict(b0=(1, 2)),
+        dict(matrices=(one,)),  # one matrix
+        dict(matrices=(one, two, one)),  # three matrices
+        dict(matrices=(one, two + ((0, 1),))),  # an extra row
+        dict(matrices=(one, ((0, 1), (1, 0, 0)))),  # a long row
+        dict(p=3),  # F_2 matrices, two of them, over F_3
+        dict(p=4),
+        dict(p=True),
+    ):
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(rep, **bad)
+        assert "\n" not in str(info.value) and len(str(info.value)) <= 200, bad
+    # a huge entry shows cut short
+    with pytest.raises(ValueError, match="<int of "):
+        dataclasses.replace(rep, alpha0=(10**700, 0))
+    # the zero series, m = 0, stays a machine
+    for p in (2, 3):
+        zero = KernelRepresentation(p, ((),) * p, (), ())
+        assert zero.m == 0
+        assert dfao_from_linear(zero).tau == (0,)
 
 
 def test_recheck_catches_wrong_spec():
