@@ -23,10 +23,10 @@ the coordinates of the rest.  All comparisons happen at a fixed
 truncation precision n_eq.  That makes the closure a certificate at
 precision n_eq, not a proof; recheck() builds it again at twice that
 precision and requires the same machine, to catch truncation accidents.
-Basis elements remember the digit path that produced them, so any of
-them can be recomputed from the defining polynomial at any precision.
-Only the oracle's result, an OrbitClosure, carries them and n_eq; the
-exact route returns the bare machine, a KernelRepresentation, whose
+A basis element is the series at the end of a digit path, which
+PathExpander recomputes from the defining polynomial at any precision;
+only the oracle's result, an OrbitClosure, carries the paths and n_eq.
+The exact route returns the bare machine, a KernelRepresentation, whose
 constructor checks every linear machine.  orbit_closure() and
 automaton.build_dfao() read every series through PathExpander.
 
@@ -38,9 +38,8 @@ the oracle the coefficients of truncated series under sections.
 
 from dataclasses import dataclass
 from operator import mul
-from typing import NamedTuple
 
-from .algebraic_series import BranchSpec, _grid_power, expand_branch
+from .algebraic_series import BranchSpec, _grid_mul, _grid_power, _trim_grid, expand_branch
 from .errors import ChristolError, DimensionMismatch, StateCapExceeded
 from .finite_field import brief, ensure_prime
 from .linalg import SpanTracker
@@ -60,13 +59,16 @@ class ClosureConfig:
 
     n_eq is the truncation precision at which series are compared; below
     8 the comparisons are too blunt to be meaningful, so that is the
-    floor.  max_states caps every state-space construction.
+    floor.  max_states caps every state-space construction; both are ints.
     """
 
     n_eq: int = DEFAULT_N_EQ
     max_states: int = DEFAULT_MAX_STATES
 
     def __post_init__(self):
+        for name, value in (("n_eq", self.n_eq), ("max_states", self.max_states)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {brief(value)}")
         if self.n_eq < 8:
             raise ValueError(f"n_eq must be at least 8, got {brief(self.n_eq)}")
         if self.max_states < 1:
@@ -97,11 +99,6 @@ class PathExpander:
         for r in path:
             s = section(s, r)
         return s
-
-
-class BasisElement(NamedTuple):
-    path: tuple
-    series: TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -143,16 +140,20 @@ class KernelRepresentation:
 class OrbitClosure(KernelRepresentation):
     """The machine orbit_closure() finds, with what recheck() compares.
 
-    basis holds the BasisElement z_1..z_m of the section closure,
-    matrices[d][i][j] is the j-th coordinate of section(z_i, d) over that
-    basis, b0 holds the constant terms of the basis, and alpha0 is e_1,
-    the series itself being the first basis element, unless the series
-    is zero at n_eq: then the basis is empty and m = 0.  Everything was
-    verified at truncation precision n_eq.
+    paths holds the digit paths w_i of the basis z_i = Lambda_(w_i) f of
+    the section closure, in adoption order.  matrices[d][i][j] is the
+    j-th coordinate of section(z_i, d) over that basis, b0 holds the
+    constant terms of the basis, and alpha0 is e_1, the series itself
+    being the first basis element, unless the series is zero at n_eq:
+    then the basis is empty and m = 0.  All verified at n_eq >= 8.
     """
 
-    basis: tuple
+    paths: tuple
     n_eq: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        ClosureConfig(n_eq=self.n_eq)
 
 
 def orbit_closure(spec: BranchSpec, cfg: ClosureConfig | None = None) -> OrbitClosure:
@@ -179,7 +180,7 @@ def orbit_closure(spec: BranchSpec, cfg: ClosureConfig | None = None) -> OrbitCl
         matrices=matrices,
         b0=tuple(c[0] for c in members),
         alpha0=(1,) + (0,) * (m - 1) if m else (),
-        basis=tuple(BasisElement(path, TruncatedSeries._of(p, c)) for path, c in zip(paths, members)),
+        paths=tuple(paths),
         n_eq=n_eq,
     )
 
@@ -213,7 +214,7 @@ def recheck(rep: OrbitClosure, spec: BranchSpec) -> bool:
 
     orbit_closure() builds the closure of spec again at 2 * n_eq, with
     at most max(m, 1) basis elements, and rep must match it: matrices,
-    b0, alpha0, basis paths, and basis series cut to n_eq.  A basis
+    b0, alpha0 and basis paths, which fix the basis series.  A basis
     independent at n_eq stays so, and a failing relation adds a member,
     so they match exactly when every stored relation holds at 2 * n_eq.
     False means a truncation artifact or tampering (a basis the search
@@ -227,8 +228,7 @@ def recheck(rep: OrbitClosure, spec: BranchSpec) -> bool:
         big = orbit_closure(spec, ClosureConfig(2 * rep.n_eq, max(rep.m, 1)))
     except StateCapExceeded:
         return False
-    cut = tuple(BasisElement(el.path, el.series.truncate(rep.n_eq)) for el in big.basis)
-    return (big.matrices, big.b0, big.alpha0, cut) == (rep.matrices, rep.b0, rep.alpha0, tuple(rep.basis))
+    return (big.matrices, big.b0, big.alpha0, big.paths) == (rep.matrices, rep.b0, rep.alpha0, tuple(rep.paths))
 
 
 def _apply(rows, col, p: int) -> tuple:
@@ -313,15 +313,11 @@ def exact_representation(spec: BranchSpec, max_states: int = DEFAULT_MAX_STATES)
         raise ChristolError(f"Q^(p-1) has {cells} coefficients, more than {MAX_POWER_CELLS}")
     power = _grid_power(q.coeffs, p - 1, p)
 
-    # A0 = (s + x^(v+1)*y) * Qy over x^a y^b at index a*(d+1) + b, a <= nx - 1
-    nx = h + len(head) + 1
-    start = [0] * (nx * (d + 1))
-    for i, row in enumerate(q.coeffs):
-        for j in range(1, d + 1):
-            c = j * row[j] % p
-            for k, s in enumerate(head):
-                start[(i + k) * (d + 1) + j - 1] += c * s
-            start[(i + len(head)) * (d + 1) + j] += c
+    # A0 = (s + x^(v+1)*y) * Qy over x^a y^b at index a*(d+1) + b, a <= h + len(head)
+    qy = _trim_grid([[j * row[j] % p for j in range(1, d + 1)] for row in q.coeffs])
+    start = [0] * ((h + len(head) + 1) * (d + 1))
+    for a, row in enumerate(_grid_mul([[c, 0] for c in head] + [[0, 1]], qy, p)):
+        start[a * (d + 1) : a * (d + 1) + len(row)] = row
     # terms[b]: (X, j, w) for each nonzero Q^(p-1) coefficient w at
     # (X, Y) with Y + b = p*j + p - 1, so x^a y^b * it lands in T_r
     terms = [[] for _ in range(d + 1)]
@@ -343,7 +339,7 @@ def exact_representation(spec: BranchSpec, max_states: int = DEFAULT_MAX_STATES)
         return [[x % p for x in o] for o in out]
 
     # the polynomials reachable from A0; rows[r][l] = coordinates of T_r v_l
-    reach, _, rows = _span_closure(p, [x % p for x in start], images)
+    reach, _, rows = _span_closure(p, start, images)
     slope_inv = pow(q.dy_at_origin(a0), p - 2, p)
     b0 = tuple(sum(vec[b] * pow(a0, b, p) for b in range(d + 1)) * slope_inv % p for vec in reach)
 

@@ -353,13 +353,12 @@ def replay_relations(rep, spec) -> bool:
     """recheck() as it was before it rebuilt the closure: every stored
     relation of an orbit closure replayed at 2 * n_eq by dot products.
     Each basis series z_i comes from its path over one expansion of the
-    root, a section being the slice s[r::p]; then z_i cut to n_eq must be
-    the stored series and z_i(0) its b0 entry, section r of z_i must be
-    sum_j M[r][i][j] * z_j, and the root sum_j alpha0_j * z_j.  No
-    closure code and no _apply(), so recheck() cannot vouch for itself.
-    A path digit outside [0, p) gives False."""
+    root, a section being the slice s[r::p]; then z_i(0) must be its b0
+    entry, section r of z_i must be sum_j M[r][i][j] * z_j, and the root
+    sum_j alpha0_j * z_j.  No closure code and no _apply(), so recheck()
+    cannot vouch for itself.  A path digit outside [0, p) gives False."""
     p, big = rep.p, 2 * rep.n_eq
-    paths = [el.path for el in rep.basis]
+    paths = rep.paths
     if spec.p != p or len(paths) != rep.m or any(not 0 <= r < p for path in paths for r in path):
         return False
     root = expand_branch(spec, big * p ** (max(map(len, paths), default=0) + 1)).coeffs
@@ -375,7 +374,7 @@ def replay_relations(rep, spec) -> bool:
     def combination(w):
         return [sum(c * z[k] for c, z in zip(w, zs)) % p for k in range(big)]
 
-    if any(tuple(z[: rep.n_eq]) != el.series.coeffs or z[0] != b for z, el, b in zip(zs, rep.basis, rep.b0)):
+    if any(z[0] != b for z, b in zip(zs, rep.b0)):
         return False
     if any(combination(rep.matrices[r][i]) != at(path + (r,)) for i, path in enumerate(paths) for r in range(p)):
         return False

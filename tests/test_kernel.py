@@ -28,8 +28,7 @@ from support import base_digits, random_separable_spec, rank, replay_relations
 def test_parity_closure_is_two_dimensional():
     rep = orbit_closure(thue_morse_spec())
     assert rep.m == 2
-    assert rep.basis[0].path == ()
-    assert rep.basis[1].path == (1,)
+    assert rep.paths == ((), (1,))
     assert rep.matrices[0] == ((1, 0), (0, 1))
     assert rep.matrices[1] == ((0, 1), (1, 0))
     assert rep.b0 == (0, 1)
@@ -52,11 +51,11 @@ def test_all_ones_closure():
 
 
 def test_the_machine_record_holds_the_machine_alone():
-    # the oracle's basis series and n_eq live on its subclass only
+    # the oracle's basis paths and n_eq live on its subclass only
     names = [f.name for f in dataclasses.fields(KernelRepresentation)]
     assert names == ["p", "matrices", "b0", "alpha0"]
     extra = [f.name for f in dataclasses.fields(kernel.OrbitClosure)]
-    assert extra == names + ["basis", "n_eq"]
+    assert extra == names + ["paths", "n_eq"]
 
 
 def test_closure_is_deterministic():
@@ -68,19 +67,9 @@ def test_closure_is_deterministic():
 def test_basis_is_independent():
     for _, spec in shipped_specs():
         rep = orbit_closure(spec)
-        vectors = [el.series.coeffs for el in rep.basis]
+        expander = PathExpander(spec)
+        vectors = [expander.series(path, rep.n_eq).coeffs for path in rep.paths]
         assert rank(vectors, rep.p, rep.n_eq) == rep.m
-
-
-def test_basis_series_match_their_paths():
-    for _, spec in shipped_specs():
-        rep = orbit_closure(spec)
-        root = expand_branch(spec, rep.n_eq * spec.p ** 3)
-        for el in rep.basis:
-            s = root
-            for r in el.path:
-                s = section(s, r)
-            assert s.truncate(rep.n_eq) == el.series
 
 
 def _coefficient_via_rep(rep, n):
@@ -140,22 +129,23 @@ def test_recheck_rejects_tampering():
 
     assert not recheck(dataclasses.replace(rep, b0=(1, 1)), spec)
     assert not recheck(dataclasses.replace(rep, alpha0=(0, 1)), spec)
-    # a stored basis series that its digit path does not produce
-    z1, z2 = rep.basis
-    mislabelled = (z1, z2._replace(series=z1.series))
-    assert not recheck(dataclasses.replace(rep, basis=mislabelled), spec)
     # a basis shorter than m, the one shape the constructor leaves open
-    assert not recheck(dataclasses.replace(rep, basis=rep.basis[:1]), spec)
+    assert not recheck(dataclasses.replace(rep, paths=rep.paths[:1]), spec)
 
 
 def test_malformed_closures_fail_at_construction():
-    # the KernelRepresentation constructor refuses them before recheck runs
+    # the KernelRepresentation constructor refuses them before recheck
+    # runs, and the OrbitClosure constructor checks n_eq as ClosureConfig
     rep = orbit_closure(thue_morse_spec())
     for malformed in (
         dict(alpha0=(1, 0, 0)),
         dict(alpha0=(1,)),
         dict(b0=(0, 1, 1)),
         dict(matrices=rep.matrices[:1]),
+        dict(n_eq=3),
+        dict(n_eq=7),
+        dict(n_eq=64.0),
+        dict(n_eq=True),
     ):
         with pytest.raises(ValueError):
             dataclasses.replace(rep, **malformed)
@@ -165,8 +155,7 @@ def test_recheck_rejects_a_path_digit_outside_the_field():
     # a basis path with digit 2 over F_2 is tampering, not a crash
     spec = thue_morse_spec()
     rep = orbit_closure(spec)
-    z1, z2 = rep.basis
-    bad = dataclasses.replace(rep, basis=(z1, z2._replace(path=(2,))))
+    bad = dataclasses.replace(rep, paths=((), (2,)))
     assert not recheck(bad, spec)
     assert not replay_relations(bad, spec)
 
@@ -176,7 +165,7 @@ def test_recheck_grows_the_root_by_doubling(monkeypatch):
     # deepest basis path, so the largest expansion is 2*n_eq * p^(depth+1)
     spec = thue_morse_spec()
     rep = orbit_closure(spec)
-    depth = max(len(el.path) for el in rep.basis)
+    depth = max(map(len, rep.paths))
     assert depth >= 1
     calls = []
 
@@ -285,6 +274,10 @@ def test_config_validation():
         ClosureConfig(n_eq=7)
     with pytest.raises(ValueError):
         ClosureConfig(max_states=0)
+    # ints only: a float n_eq is no slice index, and True is no cap
+    for bad in (dict(n_eq=64.0), dict(n_eq=True), dict(max_states=2.5), dict(max_states=True)):
+        with pytest.raises(ValueError, match="must be an int, got "):
+            ClosureConfig(**bad)
     cfg = ClosureConfig(n_eq=8, max_states=1)
     assert (cfg.n_eq, cfg.max_states) == (8, 1)
 
@@ -365,18 +358,19 @@ def test_representation_shape_invariants():
         assert len(rep.b0) == rep.m
         assert rep.alpha0 == (1,) + (0,) * (rep.m - 1)
         # spot-check the defining relation on random digits at n_eq
-        root = expand_branch(spec, rep.p * rep.n_eq)
+        expander = PathExpander(spec)
+        zs = [expander.series(path, rep.n_eq).coeffs for path in rep.paths]
         for _ in range(10):
             d = rng.randrange(rep.p)
             i = rng.randrange(rep.m)
             lhs = section(
-                expand_branch_path(spec, rep.basis[i].path, rep.p * rep.n_eq), d
+                expand_branch_path(spec, rep.paths[i], rep.p * rep.n_eq), d
             ).truncate(rep.n_eq)
             acc = [0] * rep.n_eq
             for j in range(rep.m):
                 w = rep.matrices[d][i][j]
                 for idx in range(rep.n_eq):
-                    acc[idx] = (acc[idx] + w * rep.basis[j].series.coeffs[idx]) % rep.p
+                    acc[idx] = (acc[idx] + w * zs[j][idx]) % rep.p
             assert tuple(acc) == lhs.coeffs
 
 
